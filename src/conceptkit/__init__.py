@@ -7,8 +7,7 @@ the result with partial-match precision, recall, F-score, and slot
 error rate.
 """
 
-from .codec import (decode_iobes, derive_spans_from_id_runs, encode,
-                    roundtrip_upper_bound)
+from .codec import decode_iobes, encode, roundtrip_upper_bound
 from .dicttag import TermIndex, build_index, normalize_term, tag
 from .errors import ConceptKitError, ParseError
 from .evaluate import (EvalCounts, filter_unseen, fscore, pair_similarity,
@@ -19,7 +18,7 @@ from .harmonise import (HarmonisationStrategy, TokenPrediction,
                         harmonise_document, harmonise_token)
 from .model import (NIL, Annotation, ConllRow, Document, SpanTag, TextSpan,
                     char_jaccard, spans_overlap)
-from .ontology import OntologyGraph, ancestors, parse_obo, wang_similarity
+from .ontology import OntologyGraph, parse_obo, wang_similarity
 from .simplify import (UnifyStrategy, UnnestStrategy, extend_subword,
                        simplify, unify, unnest)
 from .tuning import (FoldPlan, LexiconTagger, grid_search, make_folds,
@@ -31,9 +30,8 @@ __all__ = [
     "Annotation", "ConceptKitError", "ConllRow", "Document", "EvalCounts",
     "FoldPlan", "HarmonisationStrategy", "LexiconTagger", "NIL",
     "OntologyGraph", "ParseError", "SpanTag", "TermIndex", "TextSpan",
-    "TokenPrediction", "UnifyStrategy", "UnnestStrategy", "ancestors",
-    "build_index", "char_jaccard", "decode_iobes",
-    "derive_spans_from_id_runs", "encode", "extend_subword",
+    "TokenPrediction", "UnifyStrategy", "UnnestStrategy", "build_index",
+    "char_jaccard", "decode_iobes", "encode", "extend_subword",
     "filter_unseen", "fscore",
     "grid_search", "harmonise_document", "harmonise_token", "make_folds",
     "normalize_term", "pair_similarity", "parse_conll", "parse_obo",

@@ -29,8 +29,13 @@ REPORT_HEADER = "set\tstrategy\tM\tS\tI\tD\tP\tR\tF\tSER"
 
 
 def _read_text(path: Path) -> str:
+    """Read a UTF-8 file without newline translation.
+
+    A CRLF stays two characters, as stand-off offsets count it.
+    """
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as f:
+            return f.read()
     except FileNotFoundError:
         raise ConceptKitError(f"missing file: {path}") from None
 
@@ -44,9 +49,8 @@ def read_standoff_dir(path: str) -> dict[str, Document]:
     for txt in sorted(directory.glob("*.txt")):
         doc_id = txt.stem
         ann = txt.with_suffix(".ann")
-        ann_text = ann.read_text(encoding="utf-8") if ann.exists() else ""
-        docs[doc_id] = formats.parse_standoff(
-            ann_text, txt.read_text(encoding="utf-8"), doc_id)
+        ann_text = _read_text(ann) if ann.exists() else ""
+        docs[doc_id] = formats.parse_standoff(ann_text, _read_text(txt), doc_id)
     if not docs:
         raise ConceptKitError(f"no .txt documents in {path}")
     return docs
@@ -58,7 +62,7 @@ def read_predictions_dir(path: str, texts: dict[str, str]) -> dict[str, Document
     docs = {}
     for doc_id, text in texts.items():
         ann = directory / f"{doc_id}.ann"
-        ann_text = ann.read_text(encoding="utf-8") if ann.exists() else ""
+        ann_text = _read_text(ann) if ann.exists() else ""
         docs[doc_id] = formats.parse_standoff(ann_text, text, doc_id)
     return docs
 
@@ -69,11 +73,27 @@ def read_conll_dir(path: str):
         raise ConceptKitError(f"not a directory: {path}")
     corpus = {}
     for conll in sorted(directory.glob("*.conll")):
-        corpus[conll.stem] = formats.parse_conll(
-            conll.read_text(encoding="utf-8"), source=str(conll))
+        corpus[conll.stem] = formats.parse_conll(_read_text(conll),
+                                                 source=str(conll))
     if not corpus:
         raise ConceptKitError(f"no .conll documents in {path}")
     return corpus
+
+
+def _iter_sentences(path: str):
+    """Yield (doc_id, sentences) of a .conll or stand-off directory.
+
+    The .conll files are parsed when there are any; otherwise each .txt
+    document is tokenised into unlabelled rows, one sentence per line.
+    """
+    directory = Path(path)
+    conll_files = sorted(directory.glob("*.conll")) if directory.is_dir() else []
+    for conll in conll_files:
+        yield conll.stem, formats.parse_conll(_read_text(conll), source=str(conll))
+    if not conll_files:
+        for doc_id, doc in read_standoff_dir(path).items():
+            yield doc_id, [[ConllRow(tok, span) for tok, span in sentence]
+                           for sentence in formats.tokenize_sentences(doc.text)]
 
 
 def _load_ontology(path: str):
@@ -155,24 +175,8 @@ def cmd_dict_tag(args) -> int:
         stopwords = frozenset(_read_text(Path(args.stopwords)).split())
     index = dicttag.build_index(graph, extra)
     logger.info("index holds %d term entries", len(index))
-
-    input_dir = Path(args.input)
-    out = {}
-    conll_files = sorted(input_dir.glob("*.conll")) if input_dir.is_dir() else []
-    if conll_files:
-        for path in conll_files:
-            sentences = formats.parse_conll(
-                path.read_text(encoding="utf-8"), source=str(path))
-            tagged = dicttag.tag_rows(sentences, index, stopwords)
-            out[path.stem] = formats.write_conll(tagged)
-    else:
-        for doc_id, doc in read_standoff_dir(args.input).items():
-            sentences = [
-                [ConllRow(tok, span) for tok, span in sentence]
-                for sentence in formats.tokenize_sentences(doc.text)
-            ]
-            tagged = dicttag.tag_rows(sentences, index, stopwords)
-            out[doc_id] = formats.write_conll(tagged)
+    out = {doc_id: formats.write_conll(dicttag.tag_rows(sentences, index, stopwords))
+           for doc_id, sentences in _iter_sentences(args.input)}
     _write_outputs(args.output, out, ".conll")
     return 0
 
@@ -182,11 +186,11 @@ def cmd_harmonise(args) -> int:
     out = {}
     for doc_id, sentences in corpus.items():
         annotations = harmonise.harmonise_document(sentences, args.strategy)
-        text = None
         if args.text_dir:
             text = _read_text(Path(args.text_dir) / f"{doc_id}.txt")
-        base = codec.conll_to_document(doc_id, sentences, text=text)
-        doc = Document(doc_id, base.text, tuple(annotations))
+        else:
+            text = codec.surrogate_text(sentences)
+        doc = Document(doc_id, text, tuple(annotations))
         out[doc_id] = formats.write_standoff(doc)
     _write_outputs(args.output, out, ".ann")
     return 0
@@ -232,37 +236,18 @@ def cmd_tune(args) -> int:
         plan = tuning.make_folds(sorted(gold), args.folds, args.seed)
     except ValueError as exc:
         raise ConceptKitError(str(exc)) from None
-
-    tables = []
-    for run in range(args.repeats):
-        tables.append(tuning.grid_search(gold, predictions, strategies, plan,
-                                         graph, decay=args.wang_decay,
-                                         jobs=args.jobs))
-    # deterministic sources make repeats identical; average anyway
-    by_strategy = {r.strategy: [] for r in tables[0]}
-    for table in tables:
-        for r in table:
-            by_strategy[r.strategy].append(r)
-    averaged = [
-        tuning.StrategyResult(
-            s,
-            sum(r.mean_f for r in rs) / len(rs),
-            sum(r.mean_ser for r in rs) / len(rs),
-            rs[0].fold_counts)
-        for s, rs in by_strategy.items()
-    ]
-    rank = {s: i for i, s in enumerate(tuning.STRATEGY_ORDER)}
-    averaged.sort(key=lambda r: (-r.mean_f, r.mean_ser, rank[r.strategy]))
+    table = tuning.grid_search(gold, predictions, strategies, plan, graph,
+                               decay=args.wang_decay, jobs=args.jobs)
 
     set_name = args.set_name or Path(args.gold).name
     print("set\tstrategy\tmean_F\tmean_SER")
-    for result in averaged:
+    for result in table:
         print(f"{set_name}\t{result.strategy.value}"
               f"\t{result.mean_f:.4f}\t{result.mean_ser:.4f}")
-    ties = tuning.tied_with_best(averaged)
+    ties = tuning.tied_with_best(table)
     if len(ties) > 1:
         print("# tie between: " + ", ".join(s.value for s in ties))
-    print(f"selected\t{tuning.select_strategy(averaged).value}")
+    print(f"selected\t{tuning.select_strategy(table).value}")
     return 0
 
 
@@ -279,21 +264,8 @@ def cmd_baseline_tag(args) -> int:
         tagger = tuning.LexiconTagger.from_json(_read_text(Path(args.lexicon)))
     except (ValueError, KeyError) as exc:
         raise ConceptKitError(f"bad lexicon file {args.lexicon}: {exc}") from None
-    input_dir = Path(args.input)
-    out = {}
-    conll_files = sorted(input_dir.glob("*.conll")) if input_dir.is_dir() else []
-    if conll_files:
-        for path in conll_files:
-            sentences = formats.parse_conll(
-                path.read_text(encoding="utf-8"), source=str(path))
-            out[path.stem] = formats.write_conll(tagger.tag_rows(sentences))
-    else:
-        for doc_id, doc in read_standoff_dir(args.input).items():
-            sentences = [
-                [ConllRow(tok, span) for tok, span in sentence]
-                for sentence in formats.tokenize_sentences(doc.text)
-            ]
-            out[doc_id] = formats.write_conll(tagger.tag_rows(sentences))
+    out = {doc_id: formats.write_conll(tagger.tag_rows(sentences))
+           for doc_id, sentences in _iter_sentences(args.input)}
     _write_outputs(args.output, out, ".conll")
     return 0
 
@@ -383,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pred", help="directory with .conll prediction files")
     p.add_argument("--ontology", required=True, metavar="FILE")
     p.add_argument("--folds", type=int, default=6)
-    p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--strategies", default=",".join(STRATEGY_CHOICES),
@@ -412,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_tokens(path: str) -> list[str]:
     """Turn key=value lines into command-line tokens."""
     tokens = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
-                                  start=1):
+    for lineno, line in enumerate(_read_text(Path(path)).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

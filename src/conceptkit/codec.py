@@ -44,7 +44,8 @@ def iter_blocks(tags: list[SpanTag]):
         yield open_start, len(tags) - 1
 
 
-def _block_tags(n: int) -> list[SpanTag]:
+def block_tags(n: int) -> list[SpanTag]:
+    """IOBES tags of an n-token entity: S alone, else B, I..., E."""
     if n == 1:
         return [SpanTag.S]
     return [SpanTag.B] + [SpanTag.I] * (n - 2) + [SpanTag.E]
@@ -66,7 +67,7 @@ def encode(doc: Document, tokens: list[tuple[str, TextSpan]]) -> list[ConllRow]:
         first, last = starts.get(ann.start), ends.get(ann.end)
         if first is None or last is None or first > last:
             raise ValueError(f"not simplified: {ann} not token-aligned")
-        for i, tag in zip(range(first, last + 1), _block_tags(last - first + 1)):
+        for i, tag in zip(range(first, last + 1), block_tags(last - first + 1)):
             if tags[i] is not SpanTag.O:
                 raise ValueError(f"not simplified: overlap at token {i} ({ann})")
             tags[i] = tag
@@ -117,26 +118,6 @@ def decode_iobes(rows: list[ConllRow], id_source: str = "id_tag",
     return annotations
 
 
-def derive_spans_from_id_runs(rows: list[ConllRow]) -> list[ConllRow]:
-    """Rewrite span tags from maximal runs of identical non-NIL ID tags."""
-    result = list(rows)
-    i = 0
-    while i < len(result):
-        if result[i].id_tag == NIL:
-            result[i] = ConllRow(result[i].token, result[i].span, SpanTag.O,
-                                 NIL, result[i].dict_features)
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(result) and result[j + 1].id_tag == result[i].id_tag:
-            j += 1
-        for k, tag in zip(range(i, j + 1), _block_tags(j - i + 1)):
-            result[k] = ConllRow(result[k].token, result[k].span, tag,
-                                 result[k].id_tag, result[k].dict_features)
-        i = j + 1
-    return result
-
-
 def document_to_conll(doc: Document, unify_strategy: UnifyStrategy,
                       unnest_strategy: UnnestStrategy) -> list[list[ConllRow]]:
     """Simplify and encode a document, one CoNLL block per text line."""
@@ -150,23 +131,28 @@ def document_to_conll(doc: Document, unify_strategy: UnifyStrategy,
     return sentences
 
 
+def surrogate_text(sentences: list[list[ConllRow]]) -> str:
+    """Stand-in document text: tokens at their offsets, spaces in the gaps."""
+    length = max((r.span.end for rows in sentences for r in rows), default=0)
+    chars = [" "] * length
+    for rows in sentences:
+        for row in rows:
+            # token text may disagree with the span width; keep offsets
+            piece = row.token[:len(row.span)]
+            chars[row.span.start:row.span.start + len(piece)] = list(piece)
+    return "".join(chars)
+
+
 def conll_to_document(doc_id: str, sentences: list[list[ConllRow]],
                       id_source: str = "id_tag", concept: str | None = None,
                       text: str | None = None) -> Document:
     """Decode sentences back into a document.
 
-    When the original text is not supplied, a surrogate is rebuilt from
-    the token offsets with spaces in the gaps.
+    When the original text is not supplied, the surrogate_text of the
+    sentences stands in for it.
     """
     if text is None:
-        length = max((r.span.end for rows in sentences for r in rows), default=0)
-        chars = [" "] * length
-        for rows in sentences:
-            for row in rows:
-                # token text may disagree with the span width; keep offsets
-                piece = row.token[:len(row.span)]
-                chars[row.span.start:row.span.start + len(piece)] = list(piece)
-        text = "".join(chars)
+        text = surrogate_text(sentences)
     annotations = []
     for rows in sentences:
         annotations.extend(decode_iobes(rows, id_source, concept))

@@ -106,46 +106,52 @@ def build_index(graph: OntologyGraph,
     return TermIndex({key: tuple(sorted(ids)) for key, ids in collected.items()})
 
 
-def tag(tokens: list[tuple[str, TextSpan]], index: TermIndex,
-        stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> list[tuple[str, ...]]:
-    """Dictionary features per token (greedy longest-leftmost matching).
+def longest_leftmost(tokens: list[tuple[str, TextSpan]], entries: dict,
+                     max_len: int, stopwords: frozenset[str] = frozenset()):
+    """Yield (first, last, value) of greedy longest-leftmost matches.
 
-    Matches never overlap. A match must start and end on tokens that
-    contribute at least one normalised token; single-token matches whose
-    surface form is a stopword are suppressed.
+    `entries` maps normalised token sequences to values; `max_len` is
+    the length of its longest key. Matches never overlap. A match must
+    start and end on tokens that contribute at least one normalised
+    token; single-token matches whose surface form is in `stopwords`
+    are skipped.
     """
     norm = [tuple(normalize_term(tok)) for tok, _ in tokens]
-    features: list[tuple[str, ...]] = [() for _ in tokens]
-    if not index.entries:
-        return features
     i = 0
     while i < len(tokens):
         if not norm[i]:
             i += 1
             continue
-        match_end = None
-        match_ids = None
+        match = None
         key = []
-        last_contributing = None
         for j in range(i, len(tokens)):
             key.extend(norm[j])
-            if len(key) > index.max_len:
+            if len(key) > max_len:
                 break
             if not norm[j]:
                 continue
-            last_contributing = j
-            ids = index.entries.get(tuple(key))
-            if ids is not None:
-                if i == j and tokens[i][0].lower() in stopwords:
-                    continue
-                match_end = last_contributing
-                match_ids = ids
-        if match_end is None:
+            value = entries.get(tuple(key))
+            if value is None or (i == j and tokens[i][0].lower() in stopwords):
+                continue
+            match = (i, j, value)
+        if match is None:
             i += 1
             continue
-        for k in range(i, match_end + 1):
-            features[k] = match_ids
-        i = match_end + 1
+        yield match
+        i = match[1] + 1
+
+
+def tag(tokens: list[tuple[str, TextSpan]], index: TermIndex,
+        stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> list[tuple[str, ...]]:
+    """Dictionary features per token (greedy longest-leftmost matching).
+
+    Every token of a match carries all candidate CURIEs of its term;
+    single-token matches whose surface form is a stopword are suppressed.
+    """
+    features: list[tuple[str, ...]] = [()] * len(tokens)
+    for first, last, ids in longest_leftmost(tokens, index.entries,
+                                             index.max_len, stopwords):
+        features[first:last + 1] = [ids] * (last - first + 1)
     return features
 
 

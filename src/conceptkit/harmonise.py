@@ -22,7 +22,8 @@ from .codec import iter_blocks
 from .model import NIL, Annotation, ConllRow, SpanTag, TextSpan
 
 #: Span tag standing in for "relevant" on tokens labelled from ID runs;
-#: real tags for those tokens come from derive_spans_from_id_runs.
+#: harmonise_document splits those tokens into entities on runs of
+#: identical IDs.
 PLACEHOLDER_TAG = SpanTag.S
 
 
@@ -42,49 +43,41 @@ class TokenPrediction:
     dict_ids: tuple[str, ...] = ()
 
 
-def _spans_decision(p: TokenPrediction) -> tuple[SpanTag, str]:
-    if p.span_tag.relevant and p.dict_ids:
-        return p.span_tag, min(p.dict_ids)
-    return SpanTag.O, NIL
+#: Sources each strategy consults per token, highest precedence first.
+_PRECEDENCE = {
+    HarmonisationStrategy.SPANS_ONLY: ("span",),
+    HarmonisationStrategy.IDS_ONLY: ("id",),
+    HarmonisationStrategy.SPANS_FIRST: ("span", "id"),
+    HarmonisationStrategy.IDS_FIRST: ("id", "span"),
+}
 
 
-def _ids_decision(p: TokenPrediction) -> tuple[SpanTag, str]:
-    if p.nn_id != NIL:
-        return PLACEHOLDER_TAG, p.nn_id
-    return SpanTag.O, NIL
+def _route(strategy: HarmonisationStrategy, span_tag: SpanTag, id_tag: str,
+           dict_ids: tuple[str, ...]) -> str | None:
+    """The source that labels a token: 'span', 'id', or None for O/NIL.
+
+    The span source accepts a relevant span tag with dictionary support,
+    the ID source any non-NIL ID.
+    """
+    for source in _PRECEDENCE[strategy]:
+        if source == "span":
+            if span_tag.relevant and dict_ids:
+                return source
+        elif id_tag != NIL:
+            return source
+    return None
 
 
 def harmonise_token(p: TokenPrediction,
                     strategy: HarmonisationStrategy) -> tuple[SpanTag, str]:
     """Token-level label under the given strategy."""
-    strategy = HarmonisationStrategy(strategy)
-    if strategy is HarmonisationStrategy.SPANS_ONLY:
-        return _spans_decision(p)
-    if strategy is HarmonisationStrategy.IDS_ONLY:
-        return _ids_decision(p)
-    if strategy is HarmonisationStrategy.SPANS_FIRST:
-        first, second = _spans_decision(p), _ids_decision(p)
-    else:
-        first, second = _ids_decision(p), _spans_decision(p)
-    return first if first != (SpanTag.O, NIL) else second
-
-
-def _routes(rows: list[ConllRow], strategy: HarmonisationStrategy):
-    """Which source labels each token: 'span', 'id', or None."""
-    routes = []
-    for row in rows:
-        span_ok = row.span_tag.relevant and bool(row.dict_features)
-        id_ok = row.id_tag != NIL
-        if strategy is HarmonisationStrategy.SPANS_ONLY:
-            route = "span" if span_ok else None
-        elif strategy is HarmonisationStrategy.IDS_ONLY:
-            route = "id" if id_ok else None
-        elif strategy is HarmonisationStrategy.SPANS_FIRST:
-            route = "span" if span_ok else ("id" if id_ok else None)
-        else:
-            route = "id" if id_ok else ("span" if span_ok else None)
-        routes.append(route)
-    return routes
+    route = _route(HarmonisationStrategy(strategy), p.span_tag, p.nn_id,
+                   p.dict_ids)
+    if route == "span":
+        return p.span_tag, min(p.dict_ids)
+    if route == "id":
+        return PLACEHOLDER_TAG, p.nn_id
+    return SpanTag.O, NIL
 
 
 def _span_block_entities(rows, first, last):
@@ -109,7 +102,8 @@ def _span_block_entities(rows, first, last):
 
 def _sentence_entities(rows: list[ConllRow],
                        strategy: HarmonisationStrategy):
-    routes = _routes(rows, strategy)
+    routes = [_route(strategy, r.span_tag, r.id_tag, r.dict_features)
+              for r in rows]
     entities = []  # (first, last, concept)
     i = 0
     while i < len(rows):

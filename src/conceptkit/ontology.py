@@ -75,8 +75,13 @@ class OntologyGraph:
     def __len__(self) -> int:
         return len(self._concepts)
 
-    def _upward_depths(self, curie: str) -> dict[str, int]:
-        """Shortest is_a distance from `curie` to each of its ancestors."""
+    def upward_depths(self, curie: str) -> dict[str, int]:
+        """Shortest is_a distance from `curie` to each of its ancestors.
+
+        `curie` itself is at distance 0. The mapping is cached and shared
+        between calls, so callers must not modify it. Raises KeyError for
+        unknown CURIEs.
+        """
         cached = self._depth_cache.get(curie)
         if cached is not None:
             return cached
@@ -100,7 +105,7 @@ class OntologyGraph:
         if cached is None:
             if curie not in self._concepts:
                 raise KeyError(curie)
-            cached = frozenset(self._upward_depths(curie))
+            cached = frozenset(self.upward_depths(curie))
             self._ancestor_cache[curie] = cached
         return cached
 
@@ -167,11 +172,6 @@ def parse_obo(text: str, source: str = "") -> OntologyGraph:
     return OntologyGraph(concepts)
 
 
-def ancestors(graph: OntologyGraph, curie: str) -> frozenset[str]:
-    """Ancestors of `curie` in `graph`, including `curie` itself."""
-    return graph.ancestors(curie)
-
-
 def wang_similarity(graph: OntologyGraph, a: str, b: str,
                     decay: float = DEFAULT_DECAY) -> float:
     """Shared-ancestor similarity in [0, 1] between two concepts.
@@ -189,8 +189,8 @@ def wang_similarity(graph: OntologyGraph, a: str, b: str,
         raise KeyError(b)
     if a == b:
         return 1.0
-    s_a = {t: decay ** d for t, d in graph._upward_depths(a).items()}
-    s_b = {t: decay ** d for t, d in graph._upward_depths(b).items()}
+    s_a = {t: decay ** d for t, d in graph.upward_depths(a).items()}
+    s_b = {t: decay ** d for t, d in graph.upward_depths(b).items()}
     shared = sorted(set(s_a) & set(s_b))
     if not shared:
         return 0.0

@@ -16,8 +16,8 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .codec import iter_blocks, majority_id
-from .dicttag import normalize_term
+from .codec import block_tags, iter_blocks, majority_id
+from .dicttag import longest_leftmost, normalize_term
 from .errors import ConceptKitError
 from .evaluate import EvalCounts, fscore, score_document, slot_error_rate
 from .harmonise import HarmonisationStrategy, harmonise_document
@@ -168,35 +168,15 @@ class LexiconTagger:
 
     def tag_tokens(self, tokens: list[tuple[str, TextSpan]]) -> list[tuple[SpanTag, str]]:
         """Predicted (span tag, ID tag) per token; O/NIL outside matches."""
-        norm = [tuple(normalize_term(tok)) for tok, _ in tokens]
         out: list[tuple[SpanTag, str]] = [(SpanTag.O, NIL)] * len(tokens)
-        i = 0
-        while i < len(tokens):
-            if not norm[i]:
-                i += 1
-                continue
-            best = None
-            key: list[str] = []
-            for j in range(i, len(tokens)):
-                key.extend(norm[j])
-                if len(key) > self.max_len:
-                    break
-                if not norm[j]:
-                    continue
-                entry = self.entries.get(tuple(key))
-                if entry is not None:
-                    best = (j, entry)
-            if best is None:
-                i += 1
-                continue
-            j, (pattern, concept) = best
-            width = j - i + 1
-            if len(pattern) != width:
-                pattern = ("S",) if width == 1 else (
-                    ("B",) + ("I",) * (width - 2) + ("E",))
-            for k, tag in zip(range(i, j + 1), pattern):
-                out[k] = (SpanTag(tag), concept)
-            i = j + 1
+        for first, last, (pattern, concept) in longest_leftmost(
+                tokens, self.entries, self.max_len):
+            if len(pattern) == last - first + 1:
+                tags = [SpanTag(t) for t in pattern]
+            else:
+                tags = block_tags(last - first + 1)
+            for k, tag in zip(range(first, last + 1), tags):
+                out[k] = (tag, concept)
         return out
 
     def tag_rows(self, sentences: list[list[ConllRow]]) -> list[list[ConllRow]]:

@@ -52,6 +52,22 @@ class TestConvertRestore:
         assert "error" in capsys.readouterr().err
 
 
+class TestCrlf:
+    def test_crlf_offsets_survive_convert_and_roundtrip(self, tmp_path, capsys):
+        gold = tmp_path / "gold"
+        gold.mkdir()
+        (gold / "doc.txt").write_bytes(b"First line here.\r\nThe kinase binds.\r\n")
+        (gold / "doc.ann").write_text("T1\tTR:0001 22 28\tkinase\n")
+        obo = tmp_path / "onto.obo"
+        obo.write_text(tree_obo())
+        assert run("convert", gold, tmp_path / "conll") == 0
+        body = (tmp_path / "conll" / "doc.conll").read_text()
+        assert "kinase\t22\t28\tS\tTR:0001" in body
+        assert run("roundtrip-eval", gold, "--ontology", obo) == 0
+        cells = capsys.readouterr().out.strip().splitlines()[1].split("\t")
+        assert cells[8] == "1.0000"
+
+
 class TestRoundtripEval:
     def test_report_row(self, corpus, capsys):
         assert run("roundtrip-eval", corpus / "gold",
@@ -157,7 +173,7 @@ class TestTune:
             "--ontology", corpus / "onto.obo")
         assert run("tune", corpus / "gold", enriched,
                    "--ontology", corpus / "onto.obo",
-                   "--folds", "2", "--repeats", "2") == 0
+                   "--folds", "2") == 0
         out = capsys.readouterr().out
         lines = out.strip().splitlines()
         assert lines[0] == "set\tstrategy\tmean_F\tmean_SER"

@@ -4,8 +4,7 @@ import random
 import pytest
 
 from conceptkit import (NIL, Annotation, Document, SpanTag, TextSpan,
-                        decode_iobes, derive_spans_from_id_runs, encode,
-                        roundtrip_upper_bound, tokenize)
+                        decode_iobes, encode, roundtrip_upper_bound, tokenize)
 from conceptkit.codec import conll_to_document, document_to_conll, iter_blocks
 from conceptkit.evaluate import fscore
 from conceptkit.simplify import UnifyStrategy, UnnestStrategy
@@ -172,40 +171,6 @@ class TestDecode:
                           key=lambda a: a.start)
             for a, b in zip(anns, anns[1:]):
                 assert a.end <= b.start
-
-
-class TestDeriveSpans:
-    def test_run_to_tags(self):
-        rows = rows_from_tuples([
-            ("a", 0, 1, "O", "PR:000001", []),
-            ("b", 2, 3, "O", "PR:000001", []),
-            ("c", 4, 5, "O", NIL, []),
-        ])
-        tags = [r.span_tag for r in derive_spans_from_id_runs(rows)]
-        assert tags == [SpanTag.B, SpanTag.E, SpanTag.O]
-
-    def test_all_nil(self):
-        rows = rows_from_tuples([
-            ("a", 0, 1, "S", NIL, []), ("b", 2, 3, "B", NIL, [])])
-        tags = [r.span_tag for r in derive_spans_from_id_runs(rows)]
-        assert tags == [SpanTag.O, SpanTag.O]
-
-    def test_run_breaks_at_id_change(self):
-        rows = rows_from_tuples([
-            ("a", 0, 1, "O", "PR:000001", []),
-            ("b", 2, 3, "O", "PR:000002", []),
-        ])
-        tags = [r.span_tag for r in derive_spans_from_id_runs(rows)]
-        assert tags == [SpanTag.S, SpanTag.S]
-
-    def test_long_run(self):
-        rows = rows_from_tuples([
-            ("a", 0, 1, "O", "X:1", []),
-            ("b", 2, 3, "O", "X:1", []),
-            ("c", 4, 5, "O", "X:1", []),
-        ])
-        tags = [r.span_tag for r in derive_spans_from_id_runs(rows)]
-        assert tags == [SpanTag.B, SpanTag.I, SpanTag.E]
 
 
 class TestRoundTrip:

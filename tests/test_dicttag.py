@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from conceptkit import build_index, normalize_term, parse_obo, tag, tokenize
+from conceptkit import (NIL, LexiconTagger, build_index, normalize_term,
+                        parse_obo, tag, tokenize)
+from conceptkit.codec import iter_blocks
 from conceptkit.dicttag import TermIndex, read_synonyms, tag_rows
 
 from helpers import rows_from_tuples
@@ -140,6 +142,29 @@ class TestTag:
             words = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
             tokens = tokenize(" ".join(words))
             assert tag(tokens, index) == reference(words)
+
+    def test_lexicon_tagger_shares_the_scan(self):
+        # both taggers scan with longest_leftmost; without stopwords they
+        # must match the same tokens, entry for entry
+        rng = random.Random(43)
+        vocab = ["kinase", "cell", "alpha", "beta", "membrane", "-"]
+        keys = {("alpha", "kinase"): "X:1", ("cell",): "X:2",
+                ("beta", "cell"): "X:3", ("membrane",): "X:4"}
+        index = TermIndex({key: (c,) for key, c in keys.items()})
+        lexicon = LexiconTagger({
+            key: (("S",) if len(key) == 1 else ("B", "E"), c)
+            for key, c in keys.items()})
+        for _ in range(300):
+            words = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
+            tokens = tokenize(" ".join(words))
+            features = tag(tokens, index, stopwords=frozenset())
+            labels = lexicon.tag_tokens(tokens)
+            concepts = [f[0] if f else NIL for f in features]
+            assert concepts == [concept for _, concept in labels]
+            for first, last in iter_blocks([t for t, _ in labels]):
+                key = tuple(t for w in words[first:last + 1]
+                            for t in normalize_term(w))
+                assert keys[key] == labels[first][1]
 
     def test_longest_leftmost_no_strict_subspan(self):
         index = _index({"alpha": ["X:1"], "alpha beta": ["X:2"],

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conceptkit import (NIL, Annotation, SpanTag, TextSpan,
                         harmonise_document, harmonise_token)
@@ -228,3 +230,70 @@ class TestDocumentAssembly:
             a = harmonise_document([rows_from_tuples(base)], IDS_ONLY)
             b = harmonise_document([rows_from_tuples(mutated)], IDS_ONLY)
             assert a == b
+
+
+class TestIdRunBoundaries:
+    """Under ids-only, entities are the maximal runs of identical IDs."""
+
+    def test_run_to_entity(self):
+        rows = sentence(
+            ("a", 0, 1, "O", "PR:000001", []),
+            ("b", 2, 3, "O", "PR:000001", []),
+            ("c", 4, 5, "O", NIL, []),
+        )
+        assert harmonise_document(rows, IDS_ONLY) == [
+            Annotation("PR:000001", (TextSpan(0, 3),))]
+
+    def test_all_nil(self):
+        rows = sentence(("a", 0, 1, "S", NIL, []), ("b", 2, 3, "B", NIL, []))
+        assert harmonise_document(rows, IDS_ONLY) == []
+
+    def test_run_breaks_at_id_change(self):
+        rows = sentence(
+            ("a", 0, 1, "O", "PR:000001", []),
+            ("b", 2, 3, "O", "PR:000002", []),
+        )
+        assert harmonise_document(rows, IDS_ONLY) == [
+            Annotation("PR:000001", (TextSpan(0, 1),)),
+            Annotation("PR:000002", (TextSpan(2, 3),)),
+        ]
+
+    def test_long_run(self):
+        rows = sentence(
+            ("a", 0, 1, "O", "X:1", []),
+            ("b", 2, 3, "O", "X:1", []),
+            ("c", 4, 5, "O", "X:1", []),
+        )
+        assert harmonise_document(rows, IDS_ONLY) == [
+            Annotation("X:1", (TextSpan(0, 5),))]
+
+
+token_columns = st.tuples(
+    st.sampled_from("BIESO"),
+    st.sampled_from([NIL, "N:1", "N:2"]),
+    st.lists(st.sampled_from(["D:1", "D:2", "N:1"]), max_size=2, unique=True)
+    .map(sorted),
+)
+
+
+@given(st.lists(token_columns, min_size=1, max_size=10),
+       st.sampled_from(list(HarmonisationStrategy)))
+def test_document_agrees_with_token_table(columns, strategy):
+    rows = rows_from_tuples([("t", 2 * i, 2 * i + 1, tag, nn, feats)
+                             for i, (tag, nn, feats) in enumerate(columns)])
+    covered = {}
+    for ann in harmonise_document([rows], strategy):
+        for i, row in enumerate(rows):
+            if ann.start <= row.span.start and row.span.end <= ann.end:
+                assert i not in covered
+                covered[i] = ann.concept_id
+    for i, row in enumerate(rows):
+        _, concept = harmonise_token(
+            TokenPrediction(row.span_tag, row.id_tag, row.dict_features),
+            strategy)
+        if concept == NIL:
+            assert i not in covered
+        elif len(row.dict_features) < 2:
+            assert covered[i] == concept
+        else:  # a span block takes the lowest candidate its tokens share
+            assert covered[i] == concept or covered[i] in row.dict_features

@@ -1,6 +1,6 @@
 import pytest
 
-from conceptkit import ParseError, ancestors, parse_obo, wang_similarity
+from conceptkit import ParseError, parse_obo, wang_similarity
 
 from helpers import chain_obo
 
@@ -65,19 +65,19 @@ class TestParseObo:
 
 class TestAncestors:
     def test_chain(self, chain_graph):
-        assert ancestors(chain_graph, "TEST:C") == {"TEST:C", "TEST:B", "TEST:A"}
-        assert ancestors(chain_graph, "TEST:A") == {"TEST:A"}
+        assert chain_graph.ancestors("TEST:C") == {"TEST:C", "TEST:B", "TEST:A"}
+        assert chain_graph.ancestors("TEST:A") == {"TEST:A"}
 
     def test_diamond(self):
         graph = parse_obo(DIAMOND_OBO)
-        assert ancestors(graph, "D:BOT") == {"D:BOT", "D:L", "D:R", "D:TOP"}
+        assert graph.ancestors("D:BOT") == {"D:BOT", "D:L", "D:R", "D:TOP"}
 
     def test_monotone(self, chain_graph):
-        assert ancestors(chain_graph, "TEST:B") <= ancestors(chain_graph, "TEST:C")
+        assert chain_graph.ancestors("TEST:B") <= chain_graph.ancestors("TEST:C")
 
     def test_unknown_curie(self, chain_graph):
         with pytest.raises(KeyError):
-            ancestors(chain_graph, "TEST:missing")
+            chain_graph.ancestors("TEST:missing")
 
 
 class TestWangSimilarity:
