@@ -270,6 +270,18 @@ def cmd_baseline_tag(args) -> int:
     return 0
 
 
+def _positive_int(value: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0  # reported like any other value below 1
+    if number < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {value!r}")
+    return number
+
+
 def _add_common(parser):
     parser.add_argument("--config", metavar="FILE",
                         help="key=value file presetting any flag of this command")
@@ -356,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ontology", required=True, metavar="FILE")
     p.add_argument("--folds", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes that score documents")
     p.add_argument("--strategies", default=",".join(STRATEGY_CHOICES),
                    help="comma-separated strategy subset")
     p.add_argument("--set-name")

@@ -64,6 +64,22 @@ def pair_similarity(pred: Annotation, ref: Annotation, graph: OntologyGraph,
     return overlap * wang_similarity(graph, pred.concept_id, ref.concept_id, decay)
 
 
+def _overlapping_extents(preds: list[Annotation],
+                         refs: list[Annotation]) -> list[tuple[int, int]]:
+    """(ref index, pred index) of every pair whose [start, end) extents
+    overlap, found by one sweep over the extents in start order."""
+    sides = (preds, refs)
+    active: list[list[int]] = [[], []]
+    pairs = []
+    for start, side, i in sorted((a.start, side, i) for side in (0, 1)
+                                 for i, a in enumerate(sides[side])):
+        other = 1 - side
+        active[other] = [j for j in active[other] if sides[other][j].end > start]
+        pairs.extend((i, j) if side else (j, i) for j in active[other])
+        active[side].append(i)
+    return pairs
+
+
 def score_document(preds: list[Annotation], refs: list[Annotation],
                    graph: OntologyGraph, decay: float = DEFAULT_DECAY) -> EvalCounts:
     """Pair predictions with references and count (M, S, I, D).
@@ -71,13 +87,15 @@ def score_document(preds: list[Annotation], refs: list[Annotation],
     Pairs with positive similarity are matched greedily in descending
     similarity; ties prefer the smaller reference start, then the
     smaller prediction start. Every annotation is matched at most once.
+    Only pairs whose extents overlap can share a character, so only
+    those are scored, in reference-major order so that warnings about
+    concepts missing from the ontology follow the references.
     """
     pairs = []
-    for ri, ref in enumerate(refs):
-        for pi, pred in enumerate(preds):
-            m = pair_similarity(pred, ref, graph, decay)
-            if m > 0.0:
-                pairs.append((m, ri, pi))
+    for ri, pi in sorted(_overlapping_extents(preds, refs)):
+        m = pair_similarity(preds[pi], refs[ri], graph, decay)
+        if m > 0.0:
+            pairs.append((m, ri, pi))
     pairs.sort(key=lambda t: (-t[0], refs[t[1]].start, preds[t[2]].start,
                               t[1], t[2]))
     ref_used = [False] * len(refs)

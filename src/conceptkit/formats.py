@@ -28,8 +28,8 @@ from .model import Annotation, ConllRow, Document, SpanTag, TextSpan
 logger = logging.getLogger(__name__)
 
 # Maximal letter/digit runs are one token; any other non-space character
-# stands alone.
-_TOKEN_RE = re.compile(r"[^\W_]+|[^\w\s]|_")
+# except a byte order mark (U+FEFF) stands alone.
+_TOKEN_RE = re.compile(r"[^\W_]+|[^\w\s\ufeff]|_")
 
 _EMPTY_FEATURES = "-"
 
@@ -37,7 +37,9 @@ _EMPTY_FEATURES = "-"
 def tokenize(text: str) -> list[tuple[str, TextSpan]]:
     """Deterministic whitespace/punctuation tokenization with offsets.
 
-    Every non-whitespace character belongs to exactly one token.
+    Every non-whitespace character belongs to exactly one token, except
+    U+FEFF: a byte order mark is no token, but it still counts as a
+    character in the offsets, as brat counts it.
     """
     return [
         (m.group(), TextSpan(m.start(), m.end())) for m in _TOKEN_RE.finditer(text)

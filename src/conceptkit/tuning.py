@@ -15,6 +15,7 @@ import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 from .codec import block_tags, iter_blocks, majority_id
 from .dicttag import longest_leftmost, normalize_term
@@ -64,13 +65,19 @@ class StrategyResult:
     fold_counts: tuple[EvalCounts, ...]
 
 
-def _evaluate_cell(args) -> EvalCounts:
-    gold, predictions, strategy, doc_ids, graph, decay = args
-    counts = EvalCounts()
-    for doc_id in doc_ids:
-        preds = harmonise_document(predictions[doc_id], strategy)
-        counts += score_document(preds, gold[doc_id], graph, decay)
-    return counts
+_worker_context = None  # (graph, decay), set in each worker by _init_worker
+
+
+def _init_worker(graph: OntologyGraph, decay: float) -> None:
+    global _worker_context
+    _worker_context = (graph, decay)
+
+
+def _score_cell(task, context=None) -> EvalCounts:
+    """Counts of one strategy on one document; workers omit `context`."""
+    strategy, rows, refs = task
+    graph, decay = context or _worker_context
+    return score_document(harmonise_document(rows, strategy), refs, graph, decay)
 
 
 def grid_search(gold: dict[str, list[Annotation]],
@@ -81,8 +88,9 @@ def grid_search(gold: dict[str, list[Annotation]],
     """Rank strategies by mean held-out F-score (SER breaks ties).
 
     Ranking is deterministic: exact ties fall back to the canonical
-    strategy order. Fold-by-strategy cells are independent and can be
-    evaluated in parallel.
+    strategy order. Each (strategy, document) pair is scored once and a
+    fold's counts are the sum over its documents; with jobs > 1 the
+    pairs are scored in that many worker processes.
     """
     missing = [d for d in gold if d not in predictions]
     if missing:
@@ -92,16 +100,23 @@ def grid_search(gold: dict[str, list[Annotation]],
         raise ConceptKitError(f"fold plan names unknown document {unknown[0]}")
     strategies = [HarmonisationStrategy(s) for s in strategies]
     folds = [plan.fold_docs(f) for f in range(plan.k)]
-    cells = [(gold, predictions, s, fold, graph, decay)
-             for s in strategies for fold in folds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            counts = list(pool.map(_evaluate_cell, cells))
+    # A document's strategies sit next to each other, so a chunk of
+    # tasks pickles its rows and references once.
+    tasks = [(s, predictions[d], gold[d])
+             for fold in folds for d in fold for s in strategies]
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(workers, initializer=_init_worker,
+                                 initargs=(graph, decay)) as pool:
+            counts = list(pool.map(_score_cell, tasks,
+                                   chunksize=-(-len(tasks) // (4 * workers))))
     else:
-        counts = [_evaluate_cell(cell) for cell in cells]
+        counts = [_score_cell(task, (graph, decay)) for task in tasks]
     results = []
     for i, strategy in enumerate(strategies):
-        fold_counts = tuple(counts[i * len(folds):(i + 1) * len(folds)])
+        doc_counts = iter(counts[i::len(strategies)])
+        fold_counts = tuple(sum(islice(doc_counts, len(fold)), EvalCounts())
+                            for fold in folds)
         fs = [fscore(c)[2] for c in fold_counts]
         sers = [slot_error_rate(c) for c in fold_counts]
         results.append(StrategyResult(

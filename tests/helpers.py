@@ -145,6 +145,39 @@ def brute_jaccard(a, b) -> float:
     return len(chars_a & chars_b) / len(union) if union else 0.0
 
 
+def all_pairs_counts(preds, refs, graph, decay=0.8) -> EvalCounts:
+    """The greedy scorer computed over every prediction/reference pair.
+
+    Reference for `score_document`, which scores only the pairs whose
+    extents overlap; the two must agree exactly.
+    """
+    pairs = []
+    for ri, ref in enumerate(refs):
+        for pi, pred in enumerate(preds):
+            m = pair_similarity(pred, ref, graph, decay)
+            if m > 0.0:
+                pairs.append((m, ri, pi))
+    pairs.sort(key=lambda t: (-t[0], refs[t[1]].start, preds[t[2]].start,
+                              t[1], t[2]))
+    ref_used = [False] * len(refs)
+    pred_used = [False] * len(preds)
+    matches = 0.0
+    paired = 0
+    for m, ri, pi in pairs:
+        if ref_used[ri] or pred_used[pi]:
+            continue
+        ref_used[ri] = True
+        pred_used[pi] = True
+        matches += m
+        paired += 1
+    return EvalCounts(
+        matches=matches,
+        substitutions=paired - matches,
+        insertions=len(preds) - paired,
+        deletions=len(refs) - paired,
+    )
+
+
 def optimal_counts(preds, refs, graph, decay=0.8) -> EvalCounts:
     """Exhaustive best pairing: maximise total similarity, then pair count.
 

@@ -68,6 +68,24 @@ class TestCrlf:
         assert cells[8] == "1.0000"
 
 
+class TestByteOrderMark:
+    def test_leading_bom_is_no_token(self, tmp_path, capsys):
+        gold = tmp_path / "gold"
+        gold.mkdir()
+        (gold / "doc.txt").write_text("\ufeffThe kinase binds.\n", encoding="utf-8")
+        (gold / "doc.ann").write_text("T1\tTR:0001 5 11\tkinase\n")
+        obo = tmp_path / "onto.obo"
+        obo.write_text(tree_obo())
+        assert run("convert", gold, tmp_path / "conll") == 0
+        body = (tmp_path / "conll" / "doc.conll").read_text(encoding="utf-8")
+        assert "\ufeff" not in body
+        assert body.startswith("The\t1\t4\tO\t")
+        assert "kinase\t5\t11\tS\tTR:0001" in body
+        assert run("roundtrip-eval", gold, "--ontology", obo) == 0
+        cells = capsys.readouterr().out.strip().splitlines()[1].split("\t")
+        assert cells[8] == "1.0000"
+
+
 class TestRoundtripEval:
     def test_report_row(self, corpus, capsys):
         assert run("roundtrip-eval", corpus / "gold",
@@ -185,6 +203,15 @@ class TestTune:
         assert run("tune", corpus / "gold", corpus / "conll",
                    "--ontology", corpus / "onto.obo", "--folds", "6") == 1
         assert "folds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_is_a_usage_error(self, corpus, capsys, jobs):
+        with pytest.raises(SystemExit) as exit_info:
+            run("tune", corpus / "gold", corpus / "gold",
+                "--ontology", corpus / "onto.obo", "--jobs", jobs)
+        assert exit_info.value.code == 2
+        assert f"--jobs: expected an integer of at least 1, got '{jobs}'" \
+            in capsys.readouterr().err
 
 
 class TestConfigFile:

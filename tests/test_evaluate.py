@@ -2,13 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conceptkit import (Annotation, TextSpan, filter_unseen, fscore,
                         pair_similarity, score_document, slot_error_rate,
                         wang_similarity)
 from conceptkit.evaluate import EvalCounts
 
-from helpers import optimal_counts
+from helpers import all_pairs_counts, optimal_counts, tree_graph
 
 
 def ann(concept, start, end):
@@ -123,6 +125,58 @@ def _random_sides(rng, graph, max_per_side=8):
     if rng.random() < 0.3 and len(preds) < max_per_side:
         preds.append(ann(rng.choice(concepts), pos + 5, pos + 9))  # spurious
     return preds, refs
+
+
+SWEEP_GRAPH = tree_graph()
+#: A few ontology concepts, so that similarities tie, and one it lacks.
+SWEEP_CONCEPTS = sorted(SWEEP_GRAPH)[:6] + ["MISSING:1"]
+
+
+def _mention(concept, *bounds):
+    return Annotation(concept, tuple(TextSpan(a, b) for a, b
+                                     in zip(bounds[::2], bounds[1::2])))
+
+
+@st.composite
+def sweep_sides(draw):
+    """(preds, refs): touching references, and predictions that copy,
+    nest in, share a start with, straddle or leave a gap around one of
+    them; the sides may swap, so either side holds the gapped mentions."""
+    concept = st.sampled_from(SWEEP_CONCEPTS)
+    cuts = sorted(draw(st.sets(st.integers(1, 40), min_size=2, max_size=8)))
+    refs = [_mention(draw(concept), a, b) for a, b in zip(cuts, cuts[1:])]
+    preds = []
+    for _ in range(draw(st.integers(0, 8))):
+        ref = draw(st.sampled_from(refs))
+        a, b = ref.start, ref.end
+        kind = draw(st.sampled_from(
+            ["copy", "nested", "same-start", "straddle", "gap", "free"]))
+        if kind == "copy":
+            bounds = (a, b)
+        elif kind == "nested":
+            lo = draw(st.integers(a, b - 1))
+            bounds = (lo, draw(st.integers(lo + 1, b)))
+        elif kind == "same-start":
+            bounds = (a, draw(st.integers(a + 1, b + 6)))
+        elif kind == "straddle":
+            bounds = (draw(st.integers(a, b - 1)), draw(st.integers(b + 1, b + 6)))
+        elif kind == "gap":
+            left_end = draw(st.integers(1, a))
+            right_start = draw(st.integers(b, b + 2))
+            bounds = (draw(st.integers(0, left_end - 1)), left_end,
+                      right_start, draw(st.integers(right_start + 1, right_start + 3)))
+        else:
+            lo = draw(st.integers(0, 45))
+            bounds = (lo, draw(st.integers(lo + 1, 46)))
+        preds.append(_mention(draw(concept), *bounds))
+    return (refs, preds) if draw(st.booleans()) else (preds, refs)
+
+
+@given(sweep_sides())
+def test_overlap_sweep_scores_like_all_pairs(sides):
+    preds, refs = sides
+    assert score_document(preds, refs, SWEEP_GRAPH) == \
+        all_pairs_counts(preds, refs, SWEEP_GRAPH)
 
 
 class TestFscore:

@@ -1,11 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import conceptkit
 from conceptkit import (NIL, ConllRow, SpanTag, TextSpan, grid_search,
-                        make_folds, select_strategy)
+                        harmonise_document, make_folds, score_document,
+                        select_strategy)
 from conceptkit.errors import ConceptKitError
+from conceptkit.evaluate import EvalCounts
 from conceptkit.harmonise import HarmonisationStrategy
 from conceptkit.tuning import STRATEGY_ORDER, FoldPlan, LexiconTagger
 
@@ -52,6 +59,34 @@ class TestMakeFolds:
 @pytest.fixture(scope="module")
 def graph():
     return tree_graph()
+
+
+def mixed_corpus(n_docs):
+    """Alternating id-favouring and span-favouring documents."""
+    gold, predictions = id_favouring_corpus(n_docs)
+    span_gold, span_predictions = span_favouring_corpus(n_docs)
+    for doc_id in sorted(gold)[::2]:
+        gold[doc_id] = span_gold[doc_id]
+        predictions[doc_id] = span_predictions[doc_id]
+    return gold, predictions
+
+
+SPAWN_SCRIPT = """
+import multiprocessing
+
+from conceptkit import grid_search, make_folds
+from conceptkit.tuning import STRATEGY_ORDER
+from helpers import id_favouring_corpus, tree_graph
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    gold, predictions = id_favouring_corpus(20)
+    plan = make_folds(sorted(gold), 4, seed=2)
+    graph = tree_graph()
+    serial = grid_search(gold, predictions, STRATEGY_ORDER, plan, graph)
+    assert grid_search(gold, predictions, STRATEGY_ORDER, plan, graph,
+                       jobs=2) == serial
+"""
 
 
 class TestGridSearch:
@@ -113,6 +148,38 @@ class TestGridSearch:
         parallel = grid_search(gold, predictions, STRATEGY_ORDER, plan,
                                graph, jobs=2)
         assert serial == parallel
+
+    def test_fold_counts_are_sums_of_document_counts(self, graph):
+        gold, predictions = mixed_corpus(30)
+        plan = make_folds(sorted(gold), 5, seed=1)
+        table = grid_search(gold, predictions, STRATEGY_ORDER, plan, graph)
+        for result in table:
+            for fold, counts in enumerate(result.fold_counts):
+                want = EvalCounts()
+                for doc_id in plan.fold_docs(fold):
+                    preds = harmonise_document(predictions[doc_id],
+                                               result.strategy)
+                    want += score_document(preds, gold[doc_id], graph)
+                assert counts == want
+
+    @pytest.mark.parametrize("strategies", [
+        STRATEGY_ORDER, ["ids-first", "spans-only"]])
+    def test_parallel_matches_serial_on_many_documents(self, graph, strategies):
+        gold, predictions = mixed_corpus(30)
+        plan = make_folds(sorted(gold), 5, seed=1)
+        serial = grid_search(gold, predictions, strategies, plan, graph)
+        assert grid_search(gold, predictions, strategies, plan, graph,
+                           jobs=2) == serial
+
+    def test_parallel_under_spawn(self, tmp_path):
+        """Workers that start from a fresh import still get the graph."""
+        script = tmp_path / "spawn_grid.py"
+        script.write_text(SPAWN_SCRIPT)
+        paths = [Path(conceptkit.__file__).parents[1], Path(__file__).parent]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+        proc = subprocess.run([sys.executable, str(script)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_select_requires_rows(self):
         with pytest.raises(ValueError):
