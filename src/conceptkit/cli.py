@@ -282,6 +282,18 @@ def _positive_int(value: str) -> int:
     return number
 
 
+def _decay(value: str) -> float:
+    """argparse type for a Wang decay, strictly between 0 and 1."""
+    try:
+        number = float(value)
+    except ValueError:
+        number = 0.0  # reported like any other value outside (0, 1)
+    if not 0.0 < number < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a number strictly between 0 and 1, got {value!r}")
+    return number
+
+
 def _add_common(parser):
     parser.add_argument("--config", metavar="FILE",
                         help="key=value file presetting any flag of this command")
@@ -321,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", action="store_true",
                    help="report every unify/unnest combination")
     p.add_argument("--set-name")
-    p.add_argument("--wang-decay", type=float, default=DEFAULT_DECAY)
+    p.add_argument("--wang-decay", type=_decay, default=DEFAULT_DECAY)
     p.add_argument("--ser-denominator", choices=["reference", "prediction"],
                    default="reference")
     _add_common(p)
@@ -355,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-labels", metavar="FILE",
                    help="one training-set CURIE per line")
     p.add_argument("--set-name")
-    p.add_argument("--wang-decay", type=float, default=DEFAULT_DECAY)
+    p.add_argument("--wang-decay", type=_decay, default=DEFAULT_DECAY)
     p.add_argument("--ser-denominator", choices=["reference", "prediction"],
                    default="reference")
     _add_common(p)
@@ -373,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", default=",".join(STRATEGY_CHOICES),
                    help="comma-separated strategy subset")
     p.add_argument("--set-name")
-    p.add_argument("--wang-decay", type=float, default=DEFAULT_DECAY)
+    p.add_argument("--wang-decay", type=_decay, default=DEFAULT_DECAY)
     _add_common(p)
     p.set_defaults(func=cmd_tune)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .evaluate import EvalCounts, score_document
-from .formats import tokenize, tokenize_sentences
+from .formats import tokenize_sentences
 from .model import NIL, Annotation, ConllRow, Document, SpanTag, TextSpan
 from .ontology import DEFAULT_DECAY, OntologyGraph
 from .simplify import UnifyStrategy, UnnestStrategy, simplify
@@ -86,30 +86,24 @@ def majority_id(candidates: list[str]) -> str | None:
     return min(counts, key=lambda c: (-counts[c], c))
 
 
-def decode_iobes(rows: list[ConllRow], id_source: str = "id_tag",
-                 concept: str | None = None) -> list[Annotation]:
+def decode_iobes(rows: list[ConllRow], id_source: str = "id_tag") -> list[Annotation]:
     """Decode one sentence of rows into annotations.
 
     id_source selects where each entity's concept comes from:
     "id_tag" takes the majority ID over the block's non-NIL ID tags,
-    "dict" the majority dictionary feature, and "given" uses `concept`
-    for every block. Blocks with no usable concept are skipped. Ties go
-    to the lexicographically lowest ID.
+    "dict" the majority dictionary feature. Blocks with no usable
+    concept are skipped. Ties go to the lexicographically lowest ID.
     """
-    if id_source not in ("id_tag", "dict", "given"):
+    if id_source not in ("id_tag", "dict"):
         raise ValueError(f"unknown id_source {id_source!r}")
-    if id_source == "given" and not concept:
-        raise ValueError("id_source='given' requires a concept")
     annotations = []
     tags = [row.span_tag for row in rows]
     for first, last in iter_blocks(tags):
         block = rows[first:last + 1]
         if id_source == "id_tag":
             chosen = majority_id([r.id_tag for r in block if r.id_tag != NIL])
-        elif id_source == "dict":
-            chosen = majority_id([f for r in block for f in r.dict_features])
         else:
-            chosen = concept
+            chosen = majority_id([f for r in block for f in r.dict_features])
         if chosen is None:
             continue
         span = TextSpan(block[0].span.start, block[-1].span.end)
@@ -121,14 +115,11 @@ def decode_iobes(rows: list[ConllRow], id_source: str = "id_tag",
 def document_to_conll(doc: Document, unify_strategy: UnifyStrategy,
                       unnest_strategy: UnnestStrategy) -> list[list[ConllRow]]:
     """Simplify and encode a document, one CoNLL block per text line."""
-    tokens = tokenize(doc.text)
+    sentences = tokenize_sentences(doc.text)
+    tokens = [token for sentence in sentences for token in sentence]
     simplified = simplify(doc, unify_strategy, unnest_strategy, tokens)
-    rows = encode(simplified, tokens)
-    by_start = {row.span.start: row for row in rows}
-    sentences = []
-    for sentence_tokens in tokenize_sentences(doc.text):
-        sentences.append([by_start[span.start] for _, span in sentence_tokens])
-    return sentences
+    rows = iter(encode(simplified, tokens))
+    return [[next(rows) for _ in sentence] for sentence in sentences]
 
 
 def surrogate_text(sentences: list[list[ConllRow]]) -> str:
@@ -144,8 +135,7 @@ def surrogate_text(sentences: list[list[ConllRow]]) -> str:
 
 
 def conll_to_document(doc_id: str, sentences: list[list[ConllRow]],
-                      id_source: str = "id_tag", concept: str | None = None,
-                      text: str | None = None) -> Document:
+                      id_source: str = "id_tag", text: str | None = None) -> Document:
     """Decode sentences back into a document.
 
     When the original text is not supplied, the surrogate_text of the
@@ -155,7 +145,7 @@ def conll_to_document(doc_id: str, sentences: list[list[ConllRow]],
         text = surrogate_text(sentences)
     annotations = []
     for rows in sentences:
-        annotations.extend(decode_iobes(rows, id_source, concept))
+        annotations.extend(decode_iobes(rows, id_source))
     return Document(doc_id, text, tuple(annotations))
 
 

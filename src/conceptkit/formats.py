@@ -49,15 +49,12 @@ def tokenize(text: str) -> list[tuple[str, TextSpan]]:
 def tokenize_sentences(text: str) -> list[list[tuple[str, TextSpan]]]:
     """Tokenize and group tokens into one block per non-empty text line."""
     sentences = []
-    offset = 0
-    for line in text.split("\n"):
-        tokens = [
-            (tok, TextSpan(span.start + offset, span.end + offset))
-            for tok, span in tokenize(line)
-        ]
-        if tokens:
-            sentences.append(tokens)
-        offset += len(line) + 1
+    prev_end = 0
+    for token in tokenize(text):
+        if not sentences or text.find("\n", prev_end, token[1].start) != -1:
+            sentences.append([])
+        sentences[-1].append(token)
+        prev_end = token[1].end
     return sentences
 
 

@@ -11,6 +11,12 @@ Four strategies resolve disagreement between the three sources:
   is O/NIL.
 * ids-first: ids-only, backing off to spans-only wherever the outcome
   is O/NIL.
+
+Every routed token gets a concept: the ID tag, or the span block's
+dictionary candidate. A mention is then a maximal run of tokens
+labelled with one concept that does not cross a span-tagger entity
+boundary (...E B..., or a change of dictionary features inside a span
+block whose tokens share no candidate).
 """
 
 from __future__ import annotations
@@ -21,9 +27,8 @@ from enum import Enum
 from .codec import iter_blocks
 from .model import NIL, Annotation, ConllRow, SpanTag, TextSpan
 
-#: Span tag standing in for "relevant" on tokens labelled from ID runs;
-#: harmonise_document splits those tokens into entities on runs of
-#: identical IDs.
+#: Span tag standing in for "relevant" on tokens labelled by the ID
+#: tagger; harmonise_document groups them into mentions by concept.
 PLACEHOLDER_TAG = SpanTag.S
 
 
@@ -80,64 +85,43 @@ def harmonise_token(p: TokenPrediction,
     return SpanTag.O, NIL
 
 
-def _span_block_entities(rows, first, last):
-    """Split one decoded span block on its dictionary features.
-
-    The block's ID is the lowest CURIE shared by all its tokens; with no
-    shared candidate the block splits wherever the feature set changes.
-    """
-    common = set(rows[first].dict_features)
-    for i in range(first + 1, last + 1):
-        common &= set(rows[i].dict_features)
-    if common:
-        return [(first, last, min(common))]
-    entities = []
-    run_start = first
-    for i in range(first + 1, last + 2):
-        if i > last or rows[i].dict_features != rows[run_start].dict_features:
-            entities.append((run_start, i - 1, min(rows[run_start].dict_features)))
-            run_start = i
-    return entities
-
-
 def _sentence_entities(rows: list[ConllRow],
                        strategy: HarmonisationStrategy):
+    """(first, last, concept) of each mention in one sentence.
+
+    An ID-routed token takes its ID tag. A span-routed token takes the
+    lowest CURIE its span block shares or, when the block shares none,
+    its own lowest candidate; it opens a span entity at the start of its
+    block and, in a block sharing no CURIE, wherever its feature set
+    changes. A token extends the previous token's mention when both
+    carry the same concept, unless it opens a span entity right after a
+    span-routed token.
+    """
     routes = [_route(strategy, r.span_tag, r.id_tag, r.dict_features)
               for r in rows]
-    entities = []  # (first, last, concept)
-    i = 0
-    while i < len(rows):
-        if routes[i] is None:
-            i += 1
+    concepts = [r.id_tag for r in rows]
+    opens = [False] * len(rows)
+    if "span" in routes:
+        masked = [r.span_tag if route == "span" else SpanTag.O
+                  for r, route in zip(rows, routes)]
+        for first, last in iter_blocks(masked):
+            common = set(rows[first].dict_features).intersection(
+                *(rows[i].dict_features for i in range(first + 1, last + 1)))
+            for i in range(first, last + 1):
+                features = rows[i].dict_features
+                concepts[i] = min(common or features)
+                opens[i] = i == first or (
+                    not common and features != rows[i - 1].dict_features)
+    entities = []
+    for i, route in enumerate(routes):
+        if route is None:
             continue
-        j = i
-        while j + 1 < len(rows) and routes[j + 1] == routes[i]:
-            j += 1
-        if routes[i] == "id":
-            run_start = i
-            for k in range(i + 1, j + 2):
-                if k > j or rows[k].id_tag != rows[run_start].id_tag:
-                    entities.append((run_start, k - 1, rows[run_start].id_tag))
-                    run_start = k
+        if (i and routes[i - 1] is not None and concepts[i - 1] == concepts[i]
+                and not (opens[i] and routes[i - 1] == "span")):
+            entities[-1] = (entities[-1][0], i, concepts[i])
         else:
-            tags = [rows[k].span_tag for k in range(i, j + 1)]
-            for first, last in iter_blocks(tags):
-                entities.extend(_span_block_entities(rows, i + first, i + last))
-        i = j + 1
-
-    # Token-adjacent entities with the same ID merge into one mention,
-    # except across an explicit span-tag boundary (...E B...).
-    merged = []
-    for entity in entities:
-        if merged:
-            pf, pl, pc = merged[-1]
-            first, last, concept = entity
-            boundary = routes[pl] == "span" and routes[first] == "span"
-            if pl + 1 == first and pc == concept and not boundary:
-                merged[-1] = (pf, last, concept)
-                continue
-        merged.append(entity)
-    return merged
+            entities.append((i, i, concepts[i]))
+    return entities
 
 
 def harmonise_document(sentences: list[list[ConllRow]],

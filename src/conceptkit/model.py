@@ -30,10 +30,6 @@ class SpanTag(str, Enum):
         return self is not SpanTag.O
 
 
-#: Span tags that mark entity tokens.
-RELEVANT_TAGS = frozenset({SpanTag.B, SpanTag.I, SpanTag.E, SpanTag.S})
-
-
 @dataclass(frozen=True, order=True)
 class TextSpan:
     """Character interval [start, end) within a document."""

@@ -42,7 +42,6 @@ class OntologyGraph:
                     raise ValueError(f"{curie}: unknown parent {parent}")
         self._concepts = dict(concepts)
         self._check_acyclic()
-        self._ancestor_cache: dict[str, frozenset[str]] = {}
         self._depth_cache: dict[str, dict[str, int]] = {}
 
     def _check_acyclic(self):
@@ -101,13 +100,7 @@ class OntologyGraph:
 
         Raises KeyError for unknown CURIEs.
         """
-        cached = self._ancestor_cache.get(curie)
-        if cached is None:
-            if curie not in self._concepts:
-                raise KeyError(curie)
-            cached = frozenset(self.upward_depths(curie))
-            self._ancestor_cache[curie] = cached
-        return cached
+        return frozenset(self.upward_depths(curie))
 
 
 def parse_obo(text: str, source: str = "") -> OntologyGraph:

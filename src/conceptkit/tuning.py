@@ -88,9 +88,10 @@ def grid_search(gold: dict[str, list[Annotation]],
     """Rank strategies by mean held-out F-score (SER breaks ties).
 
     Ranking is deterministic: exact ties fall back to the canonical
-    strategy order. Each (strategy, document) pair is scored once and a
-    fold's counts are the sum over its documents; with jobs > 1 the
-    pairs are scored in that many worker processes.
+    strategy order, and a repeated strategy is ranked once. Each
+    (strategy, document) pair is scored once and a fold's counts are
+    the sum over its documents; with jobs > 1 the pairs are scored in
+    that many worker processes.
     """
     missing = [d for d in gold if d not in predictions]
     if missing:
@@ -98,7 +99,9 @@ def grid_search(gold: dict[str, list[Annotation]],
     unknown = [d for d in plan.assignment if d not in gold]
     if unknown:
         raise ConceptKitError(f"fold plan names unknown document {unknown[0]}")
-    strategies = [HarmonisationStrategy(s) for s in strategies]
+    strategies = list(dict.fromkeys(HarmonisationStrategy(s) for s in strategies))
+    if not strategies:
+        raise ConceptKitError("no strategies to compare")
     folds = [plan.fold_docs(f) for f in range(plan.k)]
     # A document's strategies sit next to each other, so a chunk of
     # tasks pickles its rows and references once.

@@ -6,7 +6,9 @@ import random
 
 from conceptkit import (NIL, Annotation, ConllRow, Document, SpanTag,
                         TextSpan, parse_obo, tokenize)
+from conceptkit.codec import iter_blocks
 from conceptkit.evaluate import EvalCounts, pair_similarity
+from conceptkit.harmonise import _route
 
 # Three-node chain: C is_a B is_a A.
 CHAIN_OBO = """\
@@ -211,6 +213,89 @@ def optimal_counts(preds, refs, graph, decay=0.8) -> EvalCounts:
         insertions=len(preds) - paired,
         deletions=len(refs) - paired,
     )
+
+
+def per_line_sentences(text: str) -> list[list[tuple[str, TextSpan]]]:
+    """Tokens grouped by text line, each line tokenised on its own.
+
+    Reference for `formats.tokenize_sentences`, which tokenises the
+    whole text once; the two must agree exactly.
+    """
+    sentences = []
+    offset = 0
+    for line in text.split("\n"):
+        tokens = [
+            (tok, TextSpan(span.start + offset, span.end + offset))
+            for tok, span in tokenize(line)
+        ]
+        if tokens:
+            sentences.append(tokens)
+        offset += len(line) + 1
+    return sentences
+
+
+def _span_block_entities(rows, first, last):
+    """Split one decoded span block on its dictionary features.
+
+    The block's ID is the lowest CURIE shared by all its tokens; with no
+    shared candidate the block splits wherever the feature set changes.
+    """
+    common = set(rows[first].dict_features)
+    for i in range(first + 1, last + 1):
+        common &= set(rows[i].dict_features)
+    if common:
+        return [(first, last, min(common))]
+    entities = []
+    run_start = first
+    for i in range(first + 1, last + 2):
+        if i > last or rows[i].dict_features != rows[run_start].dict_features:
+            entities.append((run_start, i - 1, min(rows[run_start].dict_features)))
+            run_start = i
+    return entities
+
+
+def split_merge_entities(rows, strategy):
+    """(first, last, concept) mentions of one sentence, by split and merge.
+
+    Reference for `harmonise._sentence_entities`: runs of one route are
+    split into ID runs and span blocks, span blocks on feature changes,
+    and token-adjacent pieces of one concept are merged back, except
+    across an explicit span-tag boundary (...E B...).
+    """
+    routes = [_route(strategy, r.span_tag, r.id_tag, r.dict_features)
+              for r in rows]
+    entities = []
+    i = 0
+    while i < len(rows):
+        if routes[i] is None:
+            i += 1
+            continue
+        j = i
+        while j + 1 < len(rows) and routes[j + 1] == routes[i]:
+            j += 1
+        if routes[i] == "id":
+            run_start = i
+            for k in range(i + 1, j + 2):
+                if k > j or rows[k].id_tag != rows[run_start].id_tag:
+                    entities.append((run_start, k - 1, rows[run_start].id_tag))
+                    run_start = k
+        else:
+            tags = [rows[k].span_tag for k in range(i, j + 1)]
+            for first, last in iter_blocks(tags):
+                entities.extend(_span_block_entities(rows, i + first, i + last))
+        i = j + 1
+
+    merged = []
+    for entity in entities:
+        if merged:
+            pf, pl, pc = merged[-1]
+            first, last, concept = entity
+            boundary = routes[pl] == "span" and routes[first] == "span"
+            if pl + 1 == first and pc == concept and not boundary:
+                merged[-1] = (pf, last, concept)
+                continue
+        merged.append(entity)
+    return merged
 
 
 def rows_from_tuples(tuples: list[tuple]) -> list[ConllRow]:

@@ -214,6 +214,37 @@ class TestTune:
             in capsys.readouterr().err
 
 
+    def test_repeated_strategy_prints_one_row(self, corpus, capsys):
+        run("convert", corpus / "gold", corpus / "conll")
+        assert run("tune", corpus / "gold", corpus / "conll",
+                   "--ontology", corpus / "onto.obo", "--folds", "2",
+                   "--strategies", "spans-only,spans-only") == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [l.split("\t")[1] for l in lines[1:]] == [
+            "spans-only", "spans-only"]  # one table row, then the selection
+        assert not any(l.startswith("# tie") for l in lines)
+
+    def test_empty_strategy_list(self, corpus, capsys):
+        run("convert", corpus / "gold", corpus / "conll")
+        assert run("tune", corpus / "gold", corpus / "conll",
+                   "--ontology", corpus / "onto.obo", "--folds", "2",
+                   "--strategies", ",") == 1
+        assert "no strategies" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["roundtrip-eval", "evaluate", "tune"])
+@pytest.mark.parametrize("decay", ["7", "1", "0", "nan", "high"])
+def test_wang_decay_outside_unit_interval_is_a_usage_error(
+        corpus, capsys, command, decay):
+    dirs = {"roundtrip-eval": ["gold"], "evaluate": ["gold", "gold"],
+            "tune": ["gold", "gold"]}[command]
+    with pytest.raises(SystemExit) as exit_info:
+        run(command, *(corpus / d for d in dirs),
+            "--ontology", corpus / "onto.obo", "--wang-decay", decay)
+    assert exit_info.value.code == 2
+    assert ("--wang-decay: expected a number strictly between 0 and 1, "
+            f"got '{decay}'") in capsys.readouterr().err
+
 class TestConfigFile:
     def test_config_presets_flags(self, corpus, capsys):
         cfg = corpus / "run.cfg"

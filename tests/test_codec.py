@@ -146,13 +146,6 @@ class TestDecode:
         (only,) = decode_iobes(rows, id_source="dict")
         assert only.concept_id == "X:3"
 
-    def test_given_source(self):
-        rows = rows_from_tuples([("a", 0, 1, "S", NIL, [])])
-        (only,) = decode_iobes(rows, id_source="given", concept="X:7")
-        assert only.concept_id == "X:7"
-        with pytest.raises(ValueError):
-            decode_iobes(rows, id_source="given")
-
     def test_unknown_source(self):
         with pytest.raises(ValueError):
             decode_iobes([], id_source="nope")

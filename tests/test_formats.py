@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conceptkit import (NIL, Annotation, ConllRow, ParseError, SpanTag,
                         TextSpan, parse_conll, parse_standoff, tokenize,
                         write_conll, write_standoff)
 from conceptkit.formats import tokenize_sentences
 
-from helpers import WORDS, random_simple_document, rows_from_tuples
+from helpers import (WORDS, per_line_sentences, random_simple_document,
+                     rows_from_tuples)
 
 
 class TestTokenize:
@@ -50,6 +53,19 @@ class TestTokenize:
         assert [[t for t, _ in s] for s in sentences] == [
             ["one", "two"], ["three", "."]]
         assert sentences[1][0][1] == TextSpan(9, 14)
+
+
+line_texts = st.tuples(
+    st.sampled_from(["", "\ufeff"]),
+    st.lists(st.sampled_from(["ab", "x1", "α", "-", ".", "_", " ", "\t",
+                              "\n", "\r\n", "\n\n", "\r", "\ufeff"]),
+             max_size=20),
+).map(lambda t: t[0] + "".join(t[1]))
+
+
+@given(line_texts)
+def test_sentences_match_per_line_tokenizer(text):
+    assert tokenize_sentences(text) == per_line_sentences(text)
 
 
 class TestStandoff:

@@ -9,7 +9,7 @@ from conceptkit import (NIL, Annotation, SpanTag, TextSpan,
 from conceptkit.harmonise import (PLACEHOLDER_TAG, HarmonisationStrategy,
                                   TokenPrediction)
 
-from helpers import rows_from_tuples
+from helpers import rows_from_tuples, split_merge_entities
 
 SPANS_ONLY = HarmonisationStrategy.SPANS_ONLY
 IDS_ONLY = HarmonisationStrategy.IDS_ONLY
@@ -297,3 +297,82 @@ def test_document_agrees_with_token_table(columns, strategy):
             assert covered[i] == concept
         else:  # a span block takes the lowest candidate its tokens share
             assert covered[i] == concept or covered[i] in row.dict_features
+
+
+class TestMentionRuns:
+    """Mentions are the runs of one concept, cut at span-tagger boundaries."""
+
+    def test_feature_change_opens_a_mention_without_shared_curie(self):
+        rows = sentence(
+            ("a", 0, 1, "B", NIL, ["X:1", "X:2"]),
+            ("b", 2, 3, "I", NIL, ["X:1", "X:3"]),
+            ("c", 4, 5, "E", NIL, ["X:4"]),
+        )
+        assert harmonise_document(rows, SPANS_ONLY) == [
+            Annotation("X:1", (TextSpan(0, 1),)),
+            Annotation("X:1", (TextSpan(2, 3),)),
+            Annotation("X:4", (TextSpan(4, 5),)),
+        ]
+
+    def test_span_token_joins_id_runs_of_its_concept(self):
+        rows = sentence(
+            ("a", 0, 1, "O", "X:1", []),
+            ("b", 2, 3, "S", NIL, ["X:1"]),
+            ("c", 4, 5, "O", "X:1", []),
+        )
+        assert harmonise_document(rows, IDS_FIRST) == [
+            Annotation("X:1", (TextSpan(0, 5),))]
+
+
+CURIES = ["X:1", "X:2", "X:3"]
+curie_sets = st.lists(st.sampled_from(CURIES), max_size=2, unique=True).map(sorted)
+
+
+@st.composite
+def segmented_columns(draw):
+    """(span tag, ID, features) per token, built from segments.
+
+    A span segment has relevant tags only, so orphan I/E tags occur, and
+    its tokens either all carry one CURIE or carry free candidate sets.
+    An ID segment repeats one ID and may change it partway. IDs and
+    features draw from the same CURIEs, so ID runs touch span blocks of
+    their own concept on either side; free tokens mix everything.
+    """
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["span", "id", "free"]),
+                              min_size=1, max_size=4)):
+        n = draw(st.integers(1, 4))
+        if kind == "span":
+            shared = draw(st.sampled_from([None, *CURIES]))
+            for _ in range(n):
+                features = draw(curie_sets)
+                if shared:
+                    features = sorted({shared, *features})
+                columns.append((draw(st.sampled_from("BIES")),
+                                draw(st.sampled_from([NIL, NIL, *CURIES])),
+                                features))
+        elif kind == "id":
+            first, then = draw(st.sampled_from(CURIES)), draw(st.sampled_from(CURIES))
+            change = draw(st.integers(1, n))
+            for k in range(n):
+                columns.append((draw(st.sampled_from("BIESOO")),
+                                first if k < change else then,
+                                draw(curie_sets)))
+        else:
+            columns.extend(draw(st.lists(
+                st.tuples(st.sampled_from("BIESO"),
+                          st.sampled_from([NIL, *CURIES]), curie_sets),
+                min_size=n, max_size=n)))
+    return columns
+
+
+@given(segmented_columns())
+def test_single_pass_matches_split_merge_reference(columns):
+    rows = rows_from_tuples([("t", 2 * i, 2 * i + 1, tag, nn, feats)
+                             for i, (tag, nn, feats) in enumerate(columns)])
+    for strategy in HarmonisationStrategy:
+        expected = [
+            Annotation(concept, (TextSpan(rows[first].span.start,
+                                          rows[last].span.end),))
+            for first, last, concept in split_merge_entities(rows, strategy)]
+        assert harmonise_document([rows], strategy) == expected

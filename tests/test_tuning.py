@@ -134,6 +134,19 @@ class TestGridSearch:
         t2 = grid_search(gold, predictions, STRATEGY_ORDER, plan, graph)
         assert t1 == t2
 
+    def test_repeated_strategy_ranked_once(self, graph):
+        gold, predictions = id_favouring_corpus()
+        plan = make_folds(sorted(gold), 6, seed=0)
+        table = grid_search(gold, predictions, ["spans-only", "ids-only",
+                                                "spans-only"], plan, graph)
+        assert [r.strategy.value for r in table] == ["ids-only", "spans-only"]
+
+    def test_no_strategies_is_an_error(self, graph):
+        gold, predictions = id_favouring_corpus()
+        plan = make_folds(sorted(gold), 6, seed=0)
+        with pytest.raises(ConceptKitError, match="no strategies"):
+            grid_search(gold, predictions, [], plan, graph)
+
     def test_missing_predictions_named(self, graph):
         gold, predictions = id_favouring_corpus()
         del predictions["doc03"]
