@@ -152,11 +152,10 @@ def cmd_roundtrip_eval(args) -> int:
         combos = [(u, n) for u in UnifyStrategy for n in UnnestStrategy]
     else:
         combos = [(UnifyStrategy(args.unify), UnnestStrategy(args.unnest))]
+    totals = codec.roundtrip_grid(docs.values(), combos, graph,
+                                  decay=args.wang_decay)
     print(REPORT_HEADER)
-    for unify_strategy, unnest_strategy in combos:
-        counts = codec.roundtrip_upper_bound(
-            docs.values(), unify_strategy, unnest_strategy, graph,
-            decay=args.wang_decay)
+    for (unify_strategy, unnest_strategy), counts in zip(combos, totals):
         label = f"{unify_strategy.value}/{unnest_strategy.value}"
         print(_report_row(set_name, label, counts, args.ser_denominator))
     return 0

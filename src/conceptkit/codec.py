@@ -113,9 +113,16 @@ def decode_iobes(rows: list[ConllRow], id_source: str = "id_tag") -> list[Annota
 
 
 def document_to_conll(doc: Document, unify_strategy: UnifyStrategy,
-                      unnest_strategy: UnnestStrategy) -> list[list[ConllRow]]:
-    """Simplify and encode a document, one CoNLL block per text line."""
-    sentences = tokenize_sentences(doc.text)
+                      unnest_strategy: UnnestStrategy,
+                      sentences: list[list[tuple[str, TextSpan]]] | None = None,
+                      ) -> list[list[ConllRow]]:
+    """Simplify and encode a document, one CoNLL block per text line.
+
+    `sentences` is the tokenize_sentences of the document's text; it is
+    computed when not given.
+    """
+    if sentences is None:
+        sentences = tokenize_sentences(doc.text)
     tokens = [token for sentence in sentences for token in sentence]
     simplified = simplify(doc, unify_strategy, unnest_strategy, tokens)
     rows = iter(encode(simplified, tokens))
@@ -149,6 +156,25 @@ def conll_to_document(doc_id: str, sentences: list[list[ConllRow]],
     return Document(doc_id, text, tuple(annotations))
 
 
+def roundtrip_grid(corpus, strategies, graph: OntologyGraph,
+                   decay: float = DEFAULT_DECAY) -> list[EvalCounts]:
+    """roundtrip_upper_bound for each (unify, unnest) pair of `strategies`.
+
+    Tokens do not depend on the strategies, so each document is
+    tokenised once for all pairs.
+    """
+    totals = [EvalCounts() for _ in strategies]
+    for doc in corpus:
+        sentences = tokenize_sentences(doc.text)
+        for i, (unify_strategy, unnest_strategy) in enumerate(strategies):
+            rows = document_to_conll(doc, unify_strategy, unnest_strategy,
+                                     sentences)
+            restored = conll_to_document(doc.doc_id, rows, text=doc.text)
+            totals[i] += score_document(list(restored.annotations),
+                                        list(doc.annotations), graph, decay)
+    return totals
+
+
 def roundtrip_upper_bound(corpus, unify_strategy: UnifyStrategy,
                           unnest_strategy: UnnestStrategy,
                           graph: OntologyGraph,
@@ -158,10 +184,5 @@ def roundtrip_upper_bound(corpus, unify_strategy: UnifyStrategy,
     The result is the ceiling any system trained on the token-label
     representation can reach for the given simplification strategies.
     """
-    total = EvalCounts()
-    for doc in corpus:
-        sentences = document_to_conll(doc, unify_strategy, unnest_strategy)
-        restored = conll_to_document(doc.doc_id, sentences, text=doc.text)
-        total += score_document(list(restored.annotations),
-                                list(doc.annotations), graph, decay)
-    return total
+    return roundtrip_grid(corpus, [(unify_strategy, unnest_strategy)],
+                          graph, decay)[0]

@@ -52,7 +52,7 @@ def normalize_term(term: str) -> list[str]:
     plural "s" from tokens of length >= 4.
     """
     s = unicodedata.normalize("NFKC", term).lower()
-    if any(ord(c) > 0x036F for c in s):
+    if not s.isascii() and max(s) > "\u036f":
         s = "".join(_spell_greek(c) or c for c in s)
     tokens = _NON_ALNUM_RE.sub(" ", s).split()
     return [t[:-1] if len(t) >= 4 and t.endswith("s") else t for t in tokens]
@@ -81,29 +81,35 @@ def build_index(graph: OntologyGraph,
     """Index names and synonyms of all non-obsolete concepts.
 
     `extra_synonyms` supplies additional (term, CURIE) pairs. Terms that
-    normalise to nothing are skipped with a warning.
+    normalise to nothing are skipped with a warning. Equal tokens are
+    one string object, and keys with one CURIE share its value tuple.
     """
-    collected: dict[tuple[str, ...], set[str]] = {}
+    entries: dict[tuple[str, ...], tuple[str, ...]] = {}
+    intern = {}.setdefault
 
-    def add(term: str, curie: str):
-        key = tuple(normalize_term(term))
-        if not key:
+    def add(term: str, ids: tuple[str]):
+        tokens = normalize_term(term)
+        if not tokens:
             logger.warning("skipping term %r (%s): normalises to nothing",
-                           term, curie)
+                           term, ids[0])
             return
-        collected.setdefault(key, set()).add(curie)
+        key = tuple(map(intern, tokens, tokens))
+        held = entries.setdefault(key, ids)
+        if ids[0] not in held:
+            entries[key] = tuple(sorted(held + ids))
 
     for curie in sorted(graph):
         concept = graph[curie]
         if concept.obsolete:
             continue
+        ids = (curie,)
         if concept.name:
-            add(concept.name, curie)
+            add(concept.name, ids)
         for synonym in concept.synonyms:
-            add(synonym, curie)
+            add(synonym, ids)
     for term, curie in extra_synonyms:
-        add(term, curie)
-    return TermIndex({key: tuple(sorted(ids)) for key, ids in collected.items()})
+        add(term, (curie,))
+    return TermIndex(entries)
 
 
 def longest_leftmost(tokens: list[tuple[str, TextSpan]], entries: dict,

@@ -12,7 +12,8 @@ from __future__ import annotations
 import logging
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 
 from .errors import ParseError
 
@@ -21,7 +22,10 @@ logger = logging.getLogger(__name__)
 #: Default per-edge decay for is_a links in the similarity computation.
 DEFAULT_DECAY = 0.8
 
-_SYNONYM_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
+_SYNONYM_RE = re.compile(r'"((?:[^"\\]+|\\.)*)"')
+
+#: Characters per block when `parse_obo` splits its input into lines.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -36,18 +40,17 @@ class OntologyGraph:
     """Immutable concept map with an acyclic is_a hierarchy."""
 
     def __init__(self, concepts: dict[str, Concept]):
-        for curie, concept in concepts.items():
-            for parent in concept.parents:
-                if parent not in concepts:
-                    raise ValueError(f"{curie}: unknown parent {parent}")
         self._concepts = dict(concepts)
         self._check_acyclic()
         self._depth_cache: dict[str, dict[str, int]] = {}
 
     def _check_acyclic(self):
-        indegree = {c: 0 for c in self._concepts}
-        for concept in self._concepts.values():
+        """Raise ValueError on an unknown parent, ParseError on a cycle."""
+        indegree = dict.fromkeys(self._concepts, 0)
+        for curie, concept in self._concepts.items():
             for parent in concept.parents:
+                if parent not in indegree:
+                    raise ValueError(f"{curie}: unknown parent {parent}")
                 indegree[parent] += 1
         queue = deque(c for c, d in indegree.items() if d == 0)
         seen = 0
@@ -103,66 +106,90 @@ class OntologyGraph:
         return frozenset(self.upward_depths(curie))
 
 
+def _lines(text: str, start: int = 0, block: int = _BLOCK):
+    """Yield the lines of text[start:].splitlines(), a block at a time.
+
+    Each block ends just after a "\\n", which never separates a "\\r\\n"
+    pair, so the lines are those of one splitlines() call, while only
+    about `block` characters of line strings exist at once.
+    """
+    end = len(text)
+    while start < end:
+        cut = text.find("\n", start + block - 1) + 1 or end
+        yield from text[start:cut].splitlines()
+        start = cut
+
+
 def parse_obo(text: str, source: str = "") -> OntologyGraph:
     """Parse OBO flat-format [Term] stanzas into an ontology graph.
 
     Recognised keys: id, name, synonym, is_a, is_obsolete; everything
     else is ignored. Obsolete terms are loaded but flagged. Dangling
-    is_a targets are dropped with a warning; cycles are an error.
+    is_a targets are dropped with a warning; cycles are an error. A
+    repeated id replaces the earlier stanza's concept, with a warning.
+    A leading byte order mark is ignored. Each CURIE is one string
+    object, shared by its key and every is_a edge that names it.
     """
+    source = source or None  # errors name no file when there is none
     concepts: dict[str, Concept] = {}
-    stanza: dict | None = None
-
-    def flush():
-        if stanza is None or "id" not in stanza:
-            return
-        curie = stanza["id"]
-        concepts[curie] = Concept(
-            name=stanza.get("name", ""),
-            synonyms=tuple(stanza.get("synonyms", ())),
-            parents=tuple(dict.fromkeys(stanza.get("parents", ()))),
-            obsolete=stanza.get("obsolete", False),
-        )
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    intern = {}.setdefault
+    in_term = False
+    curie = None
+    name, synonyms, parents, obsolete = "", [], [], False
+    stanza_line = 0
+    lines = _lines(text, 1 if text.startswith("\ufeff") else 0)
+    # the sentinel header closes the last stanza
+    for lineno, raw in enumerate(chain(lines, ("[",)), start=1):
         line = raw.strip()
         if line.startswith("["):
-            flush()
-            stanza = {"synonyms": [], "parents": []} if line == "[Term]" else None
+            if curie is not None:
+                if curie in concepts:
+                    logger.warning("%s:line %d: repeated id %s replaces the "
+                                   "earlier stanza", source or "obo",
+                                   stanza_line, curie)
+                concepts[curie] = Concept(name, tuple(synonyms),
+                                          tuple(dict.fromkeys(parents)),
+                                          obsolete)
+            in_term = line == "[Term]"
+            curie, name, synonyms, parents, obsolete = None, "", [], [], False
+            stanza_line = lineno
             continue
-        if stanza is None or not line or line.startswith("!"):
+        if not in_term or not line or line.startswith("!"):
             continue
         key, _, raw_value = line.partition(":")
-        value = raw_value.split("!", 1)[0].strip()
-        if key == "id":
-            stanza["id"] = value
-        elif key == "name":
-            stanza["name"] = value
-        elif key == "synonym":
+        if key == "synonym":
             # match before comment-stripping: quoted text may contain "!"
             match = _SYNONYM_RE.search(raw_value)
             if not match:
                 raise ParseError(f"unparseable synonym {raw_value.strip()!r}",
                                  line=lineno, source=source)
-            stanza["synonyms"].append(match.group(1).replace('\\"', '"'))
-        elif key == "is_a":
-            target = value.split()[0] if value else ""
-            if not target:
-                raise ParseError("empty is_a target", line=lineno, source=source)
-            stanza["parents"].append(target)
-        elif key == "is_obsolete":
-            stanza["obsolete"] = value.lower() == "true"
-    flush()
+            synonyms.append(match.group(1).replace('\\"', '"'))
+        elif key in ("id", "name", "is_a", "is_obsolete"):
+            value = raw_value.partition("!")[0].strip()
+            if key == "id":
+                curie = intern(value, value)
+            elif key == "name":
+                name = value
+            elif key == "is_a":
+                if not value:
+                    raise ParseError("empty is_a target", line=lineno,
+                                     source=source)
+                target = value.split(None, 1)[0]
+                parents.append(intern(target, target))
+            else:
+                obsolete = value.lower() == "true"
 
-    for curie, concept in list(concepts.items()):
-        valid = tuple(p for p in concept.parents if p in concepts)
-        if valid != concept.parents:
-            dropped = [p for p in concept.parents if p not in concepts]
+    for curie, concept in concepts.items():
+        dropped = [p for p in concept.parents if p not in concepts]
+        if dropped:
             logger.warning("%s: dropping dangling is_a %s -> %s",
                            source or "obo", curie, ", ".join(dropped))
-            concepts[curie] = Concept(concept.name, concept.synonyms,
-                                      valid, concept.obsolete)
-    return OntologyGraph(concepts)
+            valid = tuple(p for p in concept.parents if p in concepts)
+            concepts[curie] = replace(concept, parents=valid)
+    try:
+        return OntologyGraph(concepts)
+    except ParseError as exc:
+        raise ParseError(str(exc), source=source) from None
 
 
 def wang_similarity(graph: OntologyGraph, a: str, b: str,

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import logging
 import random
+import re
+import unicodedata
+from contextlib import contextmanager
 
-from conceptkit import (NIL, Annotation, ConllRow, Document, SpanTag,
-                        TextSpan, parse_obo, tokenize)
+from conceptkit import (NIL, Annotation, ConllRow, Document, OntologyGraph,
+                        ParseError, SpanTag, TermIndex, TextSpan, parse_obo,
+                        tokenize)
 from conceptkit.codec import iter_blocks
+from conceptkit.dicttag import _NON_ALNUM_RE, _spell_greek
 from conceptkit.evaluate import EvalCounts, pair_similarity
 from conceptkit.harmonise import _route
+from conceptkit.ontology import Concept
 
 # Three-node chain: C is_a B is_a A.
 CHAIN_OBO = """\
@@ -232,6 +239,131 @@ def per_line_sentences(text: str) -> list[list[tuple[str, TextSpan]]]:
             sentences.append(tokens)
         offset += len(line) + 1
     return sentences
+
+
+#: Logger of the reference OBO parser and term indexer below.
+reference_logger = logging.getLogger("helpers.reference")
+
+#: Quoted synonym text, matched one character at a time.
+reference_synonym_re = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+@contextmanager
+def collect_warnings(logger: logging.Logger):
+    """Collect the messages of the warnings `logger` emits."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def reference_parse_obo(text: str, source: str = "") -> OntologyGraph:
+    """Whole-text, dict-per-stanza OBO parser.
+
+    Reference for `ontology.parse_obo`, which reads lines a block at a
+    time, builds each concept when its stanza closes and interns CURIEs.
+    `parse_obo` differs from it only in ignoring a leading byte order
+    mark, in warning about a repeated id, and in naming the file in the
+    cycle error.
+    """
+    concepts: dict[str, Concept] = {}
+    stanza: dict | None = None
+
+    def flush():
+        if stanza is None or "id" not in stanza:
+            return
+        curie = stanza["id"]
+        concepts[curie] = Concept(
+            name=stanza.get("name", ""),
+            synonyms=tuple(stanza.get("synonyms", ())),
+            parents=tuple(dict.fromkeys(stanza.get("parents", ()))),
+            obsolete=stanza.get("obsolete", False),
+        )
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith("["):
+            flush()
+            stanza = {"synonyms": [], "parents": []} if line == "[Term]" else None
+            continue
+        if stanza is None or not line or line.startswith("!"):
+            continue
+        key, _, raw_value = line.partition(":")
+        value = raw_value.split("!", 1)[0].strip()
+        if key == "id":
+            stanza["id"] = value
+        elif key == "name":
+            stanza["name"] = value
+        elif key == "synonym":
+            match = reference_synonym_re.search(raw_value)
+            if not match:
+                raise ParseError(f"unparseable synonym {raw_value.strip()!r}",
+                                 line=lineno, source=source)
+            stanza["synonyms"].append(match.group(1).replace('\\"', '"'))
+        elif key == "is_a":
+            target = value.split()[0] if value else ""
+            if not target:
+                raise ParseError("empty is_a target", line=lineno, source=source)
+            stanza["parents"].append(target)
+        elif key == "is_obsolete":
+            stanza["obsolete"] = value.lower() == "true"
+    flush()
+
+    for curie, concept in list(concepts.items()):
+        valid = tuple(p for p in concept.parents if p in concepts)
+        if valid != concept.parents:
+            dropped = [p for p in concept.parents if p not in concepts]
+            reference_logger.warning("%s: dropping dangling is_a %s -> %s",
+                                     source or "obo", curie, ", ".join(dropped))
+            concepts[curie] = Concept(concept.name, concept.synonyms,
+                                      valid, concept.obsolete)
+    return OntologyGraph(concepts)
+
+
+def reference_normalize_term(term: str) -> list[str]:
+    """`dicttag.normalize_term` with its per-character Greek-letter test."""
+    s = unicodedata.normalize("NFKC", term).lower()
+    if any(ord(c) > 0x036F for c in s):
+        s = "".join(_spell_greek(c) or c for c in s)
+    tokens = _NON_ALNUM_RE.sub(" ", s).split()
+    return [t[:-1] if len(t) >= 4 and t.endswith("s") else t for t in tokens]
+
+
+def reference_build_index(graph: OntologyGraph,
+                          extra_synonyms=()) -> TermIndex:
+    """Set-per-key term index, converted to sorted tuples at the end.
+
+    Reference for `dicttag.build_index`, which writes the final entries
+    in one pass; the two must agree in keys, values and key order.
+    """
+    collected: dict[tuple[str, ...], set[str]] = {}
+
+    def add(term: str, curie: str):
+        key = tuple(reference_normalize_term(term))
+        if not key:
+            reference_logger.warning(
+                "skipping term %r (%s): normalises to nothing", term, curie)
+            return
+        collected.setdefault(key, set()).add(curie)
+
+    for curie in sorted(graph):
+        concept = graph[curie]
+        if concept.obsolete:
+            continue
+        if concept.name:
+            add(concept.name, curie)
+        for synonym in concept.synonyms:
+            add(synonym, curie)
+    for term, curie in extra_synonyms:
+        add(term, curie)
+    return TermIndex({key: tuple(sorted(ids)) for key, ids in collected.items()})
 
 
 def _span_block_entities(rows, first, last):

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from conceptkit.cli import main
+from conceptkit.formats import tokenize
 
 from helpers import tree_obo
 
@@ -101,6 +103,27 @@ class TestRoundtripEval:
             "--ontology", corpus / "onto.obo")
         out = capsys.readouterr().out
         assert out.count("\n") == 7  # header + 6 combos
+
+    def test_grid_tokenises_each_document_once(self, corpus, monkeypatch):
+        texts = []
+
+        def counting_tokenize(text):
+            texts.append(text)
+            return tokenize(text)
+
+        # every module that binds tokenize
+        for module in ("conceptkit.formats", "conceptkit.simplify"):
+            monkeypatch.setattr(sys.modules[module], "tokenize", counting_tokenize)
+        assert run("roundtrip-eval", corpus / "gold", "--grid",
+                   "--ontology", corpus / "onto.obo") == 0
+        assert sorted(texts) == sorted([DOC1_TEXT, DOC2_TEXT])
+
+    def test_ontology_cycle_names_the_file(self, corpus, capsys):
+        obo = corpus / "cycle.obo"
+        obo.write_text("[Term]\nid: X:1\nis_a: X:2\n\n[Term]\nid: X:2\nis_a: X:1\n")
+        assert run("roundtrip-eval", corpus / "gold", "--ontology", obo) == 1
+        assert capsys.readouterr().err == (
+            f"conceptkit: error: {obo}: is_a cycle involving X:1, X:2\n")
 
 
 class TestDictTagAndBaseline:

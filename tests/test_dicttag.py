@@ -1,13 +1,19 @@
+import logging
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conceptkit import (NIL, LexiconTagger, build_index, normalize_term,
-                        parse_obo, tag, tokenize)
+from conceptkit import (NIL, LexiconTagger, OntologyGraph, build_index,
+                        normalize_term, parse_obo, tag, tokenize)
 from conceptkit.codec import iter_blocks
 from conceptkit.dicttag import TermIndex, read_synonyms, tag_rows
+from conceptkit.ontology import Concept
 
-from helpers import rows_from_tuples
+from helpers import (collect_warnings, reference_build_index,
+                     reference_logger, reference_normalize_term,
+                     rows_from_tuples)
 
 
 class TestNormalizeTerm:
@@ -73,6 +79,24 @@ class TestBuildIndex:
             index = build_index(graph, [("---", "X:1")])
         assert "normalises to nothing" in caplog.text
         assert len(index) == 1
+
+    def test_equal_tokens_are_one_object(self):
+        graph = parse_obo(
+            '[Term]\nid: X:1\nname: stem cell\n\n'
+            '[Term]\nid: X:2\nname: cell line\nsynonym: "cells" EXACT []\n')
+        index = build_index(graph, [("cell wall", "X:3")])
+        tokens = [t for key in index.entries for t in key]
+        assert tokens.count("cell") == 4
+        first = {}
+        assert all(first.setdefault(t, t) is t for t in tokens)
+
+    def test_name_and_synonyms_share_one_value(self):
+        graph = parse_obo(
+            '[Term]\nid: X:1\nname: stem cell\n'
+            'synonym: "ES cell" EXACT []\nsynonym: "embryonic cell" EXACT []\n')
+        values = list(build_index(graph).entries.values())
+        assert values == [("X:1",)] * 3
+        assert values[0] is values[1] is values[2]
 
 
 class TestTag:
@@ -193,3 +217,36 @@ class TestReadSynonyms:
     def test_malformed(self):
         with pytest.raises(ValueError):
             read_synonyms("no tab here\n")
+
+
+#: Surface pieces with Greek letters, compatibility forms (ligature,
+#: fullwidth, micro sign, superscript), plural endings and punctuation.
+_TERM = st.lists(st.sampled_from(
+    ["cell", "cells", "a", " ", "-", "_", "!", "α", "β", "Ω", "ﬁ", "Ａ",
+     "µ", "²", "é", "ß", "İ"]), max_size=4).map("".join)
+_CURIE = st.sampled_from(["X:1", "X:2", "X:3", "X:4"])
+_GRAPH = st.dictionaries(
+    _CURIE,
+    st.builds(Concept, name=_TERM, synonyms=st.lists(_TERM, max_size=3).map(tuple),
+              obsolete=st.booleans()),
+    max_size=4).map(OntologyGraph)
+
+
+def _index_outcome(build, logger, graph, extra):
+    with collect_warnings(logger) as messages:
+        index = build(graph, extra)
+    return list(index.entries.items()), index.max_len, messages
+
+
+@given(_GRAPH, st.lists(st.tuples(_TERM, st.sampled_from(["X:0", "X:2", "X:9"])),
+                        max_size=4))
+def test_index_matches_set_collecting_reference(graph, extra):
+    got = _index_outcome(build_index, logging.getLogger("conceptkit.dicttag"),
+                         graph, extra)
+    want = _index_outcome(reference_build_index, reference_logger, graph, extra)
+    assert got == want
+
+
+@given(st.text())
+def test_normalize_term_matches_per_character_greek_test(term):
+    assert normalize_term(term) == reference_normalize_term(term)

@@ -1,8 +1,14 @@
+import logging
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conceptkit import ParseError, parse_obo, wang_similarity
+from conceptkit.ontology import _SYNONYM_RE, _lines
 
-from helpers import chain_obo
+from helpers import (chain_obo, collect_warnings, reference_logger,
+                     reference_parse_obo, reference_synonym_re)
 
 DIAMOND_OBO = """\
 [Term]
@@ -55,12 +61,141 @@ class TestParseObo:
         with pytest.raises(ParseError, match="cycle"):
             parse_obo(text)
 
+    def test_error_without_source_names_no_file(self):
+        with pytest.raises(ParseError) as info:
+            parse_obo("[Term]\nid: X:1\nsynonym: bad\n")
+        assert str(info.value) == "line 3: unparseable synonym 'bad'"
+
     def test_comments_and_other_stanzas_ignored(self):
         text = ("[Typedef]\nid: part_of\n\n"
                 "[Term]\nid: X:1\nname: kept ! trailing comment\n")
         graph = parse_obo(text)
         assert list(graph) == ["X:1"]
         assert graph["X:1"].name == "kept"
+
+    def test_leading_bom_keeps_the_first_stanza(self, caplog):
+        text = "\ufeff[Term]\nid: X:1\nname: a\n\n[Term]\nid: X:2\nis_a: X:1\n"
+        with caplog.at_level("WARNING"):
+            graph = parse_obo(text)
+        assert list(graph) == ["X:1", "X:2"]
+        assert graph["X:2"].parents == ("X:1",)
+        assert "dangling" not in caplog.text
+
+    def test_repeated_id_later_stanza_wins_with_warning(self, caplog):
+        text = ("[Term]\nid: X:1\nname: first\n\n"
+                "[Term]\nid: X:2\nname: other\n\n"
+                "[Term]\nid: X:1\nname: second\n")
+        with caplog.at_level("WARNING"):
+            graph = parse_obo(text, source="d.obo")
+        assert list(graph) == ["X:1", "X:2"]
+        assert graph["X:1"].name == "second"
+        assert [r.getMessage() for r in caplog.records] == [
+            "d.obo:line 9: repeated id X:1 replaces the earlier stanza"]
+
+    def test_cycle_error_names_the_file(self):
+        text = "[Term]\nid: X:1\nis_a: X:2\n\n[Term]\nid: X:2\nis_a: X:1\n"
+        with pytest.raises(ParseError) as info:
+            parse_obo(text, source="c.obo")
+        assert str(info.value) == "c.obo: is_a cycle involving X:1, X:2"
+        assert info.value.source == "c.obo"
+
+    def test_parents_are_the_graph_key_objects(self):
+        # X:2 names X:1 before X:1's own stanza
+        text = ("[Term]\nid: X:2\nis_a: X:1\n\n[Term]\nid: X:1\n\n"
+                "[Term]\nid: X:3\nis_a: X:1 ! one\nis_a: X:2\n")
+        graph = parse_obo(text)
+        keys = {curie: curie for curie in graph}
+        parents = [p for curie in graph for p in graph[curie].parents]
+        assert parents == ["X:1", "X:1", "X:2"]
+        assert all(p is keys[p] for p in parents)
+
+
+#: Characters that str.splitlines() treats as line boundaries.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
+
+
+@given(st.lists(st.sampled_from(["a", "bc", " ", *LINE_BREAKS])).map("".join),
+       st.integers(0, 2))
+def test_block_reader_yields_splitlines(text, start):
+    for block in range(1, 9):
+        assert list(_lines(text, start, block)) == text[start:].splitlines()
+
+
+@given(st.text(alphabet='"\\a !'))
+def test_synonym_pattern_matches_per_character_pattern(text):
+    def found(pattern):
+        match = pattern.search(text)
+        return match and (match.span(), match.group(1))
+    assert found(_SYNONYM_RE) == found(reference_synonym_re)
+
+
+_CURIES = st.sampled_from(["X:1", "X:2", "X:3", "X:4", "Y:9"])
+_VALUE = st.lists(st.sampled_from(
+    ["a", "b c", ":", "!", "\t", '"', "\x0b", "\x0c", "\x85", "\u2028"]),
+    max_size=4).map("".join)
+_QUOTED = st.lists(st.sampled_from(["a", " ", "!", '\\"', "b", "\\\\", "\\"]),
+                   max_size=4).map("".join)
+_COMMENT = st.sampled_from(["", "", " ! note", "! x"])
+_OBO_LINE = st.one_of(
+    st.sampled_from(["", "  ", "! comment", "format-version: 1.2", "xref: X:1",
+                     'def: "text ! here" []', "is_a:", "synonym: unquoted",
+                     "[Typedef]"]),
+    st.builds("id: {}{}".format, _CURIES, _COMMENT),
+    st.builds("name: {}{}".format, _VALUE, _COMMENT),
+    st.builds('synonym: "{}" EXACT []{}'.format, _QUOTED, _COMMENT),
+    st.builds("is_a: {}{}".format, _CURIES, _COMMENT),
+    st.builds("is_obsolete: {}{}".format,
+              st.sampled_from(["true", "TRUE", "false", ""]), _COMMENT),
+)
+
+
+def _stanza(k: int):
+    """A header, the id X:k (none for 0), then lines that mostly name
+    lower ids as parents, once or twice, so that most texts hold edges
+    but no cycle."""
+    lower_parent = st.builds("is_a: {}{}".format, st.sampled_from(
+        [f"X:{j}" for j in range(1, k)] + ["Y:9"]), _COMMENT)
+    return st.builds(
+        lambda header, body: [header, *([f"id: X:{k}"] if k else []), *body],
+        st.sampled_from(["[Term]", "[Term]", " [Term] ", "[Typedef]"]),
+        st.lists(st.one_of(_OBO_LINE, lower_parent,
+                           lower_parent.map(lambda line: f"{line}\n{line}")),
+                 max_size=6))
+
+
+_OBO_TEXT = st.builds(
+    lambda bom, head, stanzas, ends: bom + "".join(
+        line + end for line, end in zip(head + sum(stanzas, []), ends)),
+    st.sampled_from(["", "\ufeff"]),
+    st.lists(_OBO_LINE, max_size=2),
+    st.lists(st.integers(0, 4).flatmap(_stanza), max_size=6),
+    # an empty end joins two lines into one
+    st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r", ""]),
+             min_size=50, max_size=50),
+)
+
+
+def _outcome(parse, logger, text):
+    with collect_warnings(logger) as messages:
+        try:
+            graph = parse(text, source="gen.obo")
+        except ParseError as exc:
+            result = str(exc)
+        else:
+            result = [(curie, graph[curie]) for curie in graph]
+    return result, [m for m in messages if "dangling" in m]
+
+
+@given(_OBO_TEXT)
+def test_parser_matches_whole_text_reference(text):
+    got = _outcome(parse_obo, logging.getLogger("conceptkit.ontology"), text)
+    # the reference does not skip a byte order mark: give it the text after
+    want, want_warnings = _outcome(reference_parse_obo, reference_logger,
+                                   text.removeprefix("\ufeff"))
+    if isinstance(want, str) and "cycle" in want:
+        want = f"gen.obo: {want}"
+    assert got == (want, want_warnings)
 
 
 class TestAncestors:
