@@ -113,16 +113,17 @@ def decode_iobes(rows: list[ConllRow], id_source: str = "id_tag") -> list[Annota
 
 
 def document_to_conll(doc: Document, unify_strategy: UnifyStrategy,
-                      unnest_strategy: UnnestStrategy,
-                      sentences: list[list[tuple[str, TextSpan]]] | None = None,
-                      ) -> list[list[ConllRow]]:
-    """Simplify and encode a document, one CoNLL block per text line.
+                      unnest_strategy: UnnestStrategy) -> list[list[ConllRow]]:
+    """Simplify and encode a document, one CoNLL block per text line."""
+    return _encode_sentences(doc, unify_strategy, unnest_strategy,
+                             tokenize_sentences(doc.text))
 
-    `sentences` is the tokenize_sentences of the document's text; it is
-    computed when not given.
-    """
-    if sentences is None:
-        sentences = tokenize_sentences(doc.text)
+
+def _encode_sentences(doc: Document, unify_strategy: UnifyStrategy,
+                      unnest_strategy: UnnestStrategy,
+                      sentences: list[list[tuple[str, TextSpan]]],
+                      ) -> list[list[ConllRow]]:
+    """document_to_conll given the tokenize_sentences of doc.text."""
     tokens = [token for sentence in sentences for token in sentence]
     simplified = simplify(doc, unify_strategy, unnest_strategy, tokens)
     rows = iter(encode(simplified, tokens))
@@ -167,7 +168,7 @@ def roundtrip_grid(corpus, strategies, graph: OntologyGraph,
     for doc in corpus:
         sentences = tokenize_sentences(doc.text)
         for i, (unify_strategy, unnest_strategy) in enumerate(strategies):
-            rows = document_to_conll(doc, unify_strategy, unnest_strategy,
+            rows = _encode_sentences(doc, unify_strategy, unnest_strategy,
                                      sentences)
             restored = conll_to_document(doc.doc_id, rows, text=doc.text)
             totals[i] += score_document(list(restored.annotations),

@@ -22,7 +22,7 @@ logger = logging.getLogger(__name__)
 #: Default per-edge decay for is_a links in the similarity computation.
 DEFAULT_DECAY = 0.8
 
-_SYNONYM_RE = re.compile(r'"((?:[^"\\]+|\\.)*)"')
+_SYNONYM_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 
 #: Characters per block when `parse_obo` splits its input into lines.
 _BLOCK = 1 << 16

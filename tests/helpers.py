@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 import random
-import re
 import unicodedata
 from contextlib import contextmanager
 
@@ -15,7 +14,7 @@ from conceptkit.codec import iter_blocks
 from conceptkit.dicttag import _NON_ALNUM_RE, _spell_greek
 from conceptkit.evaluate import EvalCounts, pair_similarity
 from conceptkit.harmonise import _route
-from conceptkit.ontology import Concept
+from conceptkit.ontology import _SYNONYM_RE, Concept
 
 # Three-node chain: C is_a B is_a A.
 CHAIN_OBO = """\
@@ -244,10 +243,6 @@ def per_line_sentences(text: str) -> list[list[tuple[str, TextSpan]]]:
 #: Logger of the reference OBO parser and term indexer below.
 reference_logger = logging.getLogger("helpers.reference")
 
-#: Quoted synonym text, matched one character at a time.
-reference_synonym_re = re.compile(r'"((?:[^"\\]|\\.)*)"')
-
-
 @contextmanager
 def collect_warnings(logger: logging.Logger):
     """Collect the messages of the warnings `logger` emits."""
@@ -302,7 +297,7 @@ def reference_parse_obo(text: str, source: str = "") -> OntologyGraph:
         elif key == "name":
             stanza["name"] = value
         elif key == "synonym":
-            match = reference_synonym_re.search(raw_value)
+            match = _SYNONYM_RE.search(raw_value)
             if not match:
                 raise ParseError(f"unparseable synonym {raw_value.strip()!r}",
                                  line=lineno, source=source)
