@@ -15,7 +15,9 @@ from pathlib import Path
 
 from . import codec, dicttag, evaluate, formats, harmonise, tuning
 from .errors import ConceptKitError, ParseError
-from .model import ConllRow, Document
+from .formats import (iter_sentences, read_conll_dir, read_predictions_dir,
+                      read_standoff_dir, read_text)
+from .model import Document
 from .ontology import DEFAULT_DECAY, parse_obo
 from .simplify import UnifyStrategy, UnnestStrategy
 
@@ -28,76 +30,8 @@ STRATEGY_CHOICES = [s.value for s in tuning.STRATEGY_ORDER]
 REPORT_HEADER = "set\tstrategy\tM\tS\tI\tD\tP\tR\tF\tSER"
 
 
-def _read_text(path: Path) -> str:
-    """Read a UTF-8 file without newline translation.
-
-    A CRLF stays two characters, as stand-off offsets count it.
-    """
-    try:
-        with open(path, encoding="utf-8", newline="") as f:
-            return f.read()
-    except FileNotFoundError:
-        raise ConceptKitError(f"missing file: {path}") from None
-
-
-def read_standoff_dir(path: str) -> dict[str, Document]:
-    """Load all .txt/.ann pairs of a corpus directory."""
-    directory = Path(path)
-    if not directory.is_dir():
-        raise ConceptKitError(f"not a directory: {path}")
-    docs = {}
-    for txt in sorted(directory.glob("*.txt")):
-        doc_id = txt.stem
-        ann = txt.with_suffix(".ann")
-        ann_text = _read_text(ann) if ann.exists() else ""
-        docs[doc_id] = formats.parse_standoff(ann_text, _read_text(txt), doc_id)
-    if not docs:
-        raise ConceptKitError(f"no .txt documents in {path}")
-    return docs
-
-
-def read_predictions_dir(path: str, texts: dict[str, str]) -> dict[str, Document]:
-    """Load predicted .ann files against the gold document texts."""
-    directory = Path(path)
-    docs = {}
-    for doc_id, text in texts.items():
-        ann = directory / f"{doc_id}.ann"
-        ann_text = _read_text(ann) if ann.exists() else ""
-        docs[doc_id] = formats.parse_standoff(ann_text, text, doc_id)
-    return docs
-
-
-def read_conll_dir(path: str):
-    directory = Path(path)
-    if not directory.is_dir():
-        raise ConceptKitError(f"not a directory: {path}")
-    corpus = {}
-    for conll in sorted(directory.glob("*.conll")):
-        corpus[conll.stem] = formats.parse_conll(_read_text(conll),
-                                                 source=str(conll))
-    if not corpus:
-        raise ConceptKitError(f"no .conll documents in {path}")
-    return corpus
-
-
-def _iter_sentences(path: str):
-    """Yield (doc_id, sentences) of a .conll or stand-off directory.
-
-    The .conll files are parsed when there are any; otherwise each .txt
-    document is tokenised into unlabelled rows, one sentence per line.
-    """
-    directory = Path(path)
-    conll_files = sorted(directory.glob("*.conll")) if directory.is_dir() else []
-    for conll in conll_files:
-        yield conll.stem, formats.parse_conll(_read_text(conll), source=str(conll))
-    if not conll_files:
-        for doc_id, doc in read_standoff_dir(path).items():
-            yield doc_id, [[ConllRow(tok, span) for tok, span in sentence]
-                           for sentence in formats.tokenize_sentences(doc.text)]
-
-
 def _load_ontology(path: str):
-    return parse_obo(_read_text(Path(path)), source=path)
+    return parse_obo(read_text(Path(path)), source=path)
 
 
 def _report_row(set_name, strategy, counts, ser_denominator="reference") -> str:
@@ -118,6 +52,13 @@ def _write_outputs(output_dir: str, contents: dict[str, str], suffix: str):
         (directory / f"{doc_id}{suffix}").write_text(text, encoding="utf-8")
 
 
+def _original_text(args, doc_id: str) -> str | None:
+    """The document's text from --text-dir, or None without that flag."""
+    if not args.text_dir:
+        return None
+    return read_text(Path(args.text_dir) / f"{doc_id}.txt")
+
+
 def cmd_convert(args) -> int:
     docs = read_standoff_dir(args.input)
     out = {}
@@ -134,11 +75,9 @@ def cmd_restore(args) -> int:
     corpus = read_conll_dir(args.input)
     out = {}
     for doc_id, sentences in corpus.items():
-        text = None
-        if args.text_dir:
-            text = _read_text(Path(args.text_dir) / f"{doc_id}.txt")
         doc = codec.conll_to_document(doc_id, sentences,
-                                      id_source=args.id_source, text=text)
+                                      id_source=args.id_source,
+                                      text=_original_text(args, doc_id))
         out[doc_id] = formats.write_standoff(doc)
     _write_outputs(args.output, out, ".ann")
     return 0
@@ -166,16 +105,16 @@ def cmd_dict_tag(args) -> int:
     extra = []
     if args.synonyms:
         try:
-            extra = dicttag.read_synonyms(_read_text(Path(args.synonyms)))
+            extra = dicttag.read_synonyms(read_text(Path(args.synonyms)))
         except ValueError as exc:
             raise ConceptKitError(str(exc)) from None
     stopwords = dicttag.DEFAULT_STOPWORDS
     if args.stopwords:
-        stopwords = frozenset(_read_text(Path(args.stopwords)).split())
+        stopwords = frozenset(read_text(Path(args.stopwords)).split())
     index = dicttag.build_index(graph, extra)
     logger.info("index holds %d term entries", len(index))
     out = {doc_id: formats.write_conll(dicttag.tag_rows(sentences, index, stopwords))
-           for doc_id, sentences in _iter_sentences(args.input)}
+           for doc_id, sentences in iter_sentences(args.input)}
     _write_outputs(args.output, out, ".conll")
     return 0
 
@@ -185,9 +124,8 @@ def cmd_harmonise(args) -> int:
     out = {}
     for doc_id, sentences in corpus.items():
         annotations = harmonise.harmonise_document(sentences, args.strategy)
-        if args.text_dir:
-            text = _read_text(Path(args.text_dir) / f"{doc_id}.txt")
-        else:
+        text = _original_text(args, doc_id)
+        if text is None:
             text = codec.surrogate_text(sentences)
         doc = Document(doc_id, text, tuple(annotations))
         out[doc_id] = formats.write_standoff(doc)
@@ -196,7 +134,7 @@ def cmd_harmonise(args) -> int:
 
 
 def _read_train_labels(path: str) -> set[str]:
-    return {line.strip() for line in _read_text(Path(path)).splitlines()
+    return {line.strip() for line in read_text(Path(path)).splitlines()
             if line.strip()}
 
 
@@ -209,15 +147,8 @@ def cmd_evaluate(args) -> int:
         if not args.train_labels:
             raise ConceptKitError("--unseen-only requires --train-labels FILE")
         train_labels = _read_train_labels(args.train_labels)
-    total = evaluate.EvalCounts()
-    for doc_id, ref_doc in gold.items():
-        pred_anns = list(preds[doc_id].annotations)
-        ref_anns = list(ref_doc.annotations)
-        if train_labels is not None:
-            pred_anns, ref_anns = evaluate.filter_unseen(
-                pred_anns, ref_anns, train_labels)
-        total += evaluate.score_document(pred_anns, ref_anns, graph,
-                                         decay=args.wang_decay)
+    total = evaluate.score_corpus(gold, preds, graph, args.wang_decay,
+                                  train_labels)
     set_name = args.set_name or Path(args.gold).name
     strategy = "unseen-only" if args.unseen_only else "all"
     print(REPORT_HEADER)
@@ -260,146 +191,125 @@ def cmd_baseline_train(args) -> int:
 
 def cmd_baseline_tag(args) -> int:
     try:
-        tagger = tuning.LexiconTagger.from_json(_read_text(Path(args.lexicon)))
+        tagger = tuning.LexiconTagger.from_json(read_text(Path(args.lexicon)))
     except (ValueError, KeyError) as exc:
         raise ConceptKitError(f"bad lexicon file {args.lexicon}: {exc}") from None
     out = {doc_id: formats.write_conll(tagger.tag_rows(sentences))
-           for doc_id, sentences in _iter_sentences(args.input)}
+           for doc_id, sentences in iter_sentences(args.input)}
     _write_outputs(args.output, out, ".conll")
     return 0
 
 
-def _positive_int(value: str) -> int:
-    """argparse type for a count that must be at least 1."""
-    try:
-        number = int(value)
-    except ValueError:
-        number = 0  # reported like any other value below 1
-    if number < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer of at least 1, got {value!r}")
-    return number
+def _checked(convert, accept, expected: str):
+    """argparse type: convert(value), a usage error unless accept(number)."""
+    def parse(value: str):
+        try:
+            number = convert(value)
+        except ValueError:
+            number = None
+        if number is None or not accept(number):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+        return number
+    return parse
 
 
-def _decay(value: str) -> float:
-    """argparse type for a Wang decay, strictly between 0 and 1."""
-    try:
-        number = float(value)
-    except ValueError:
-        number = 0.0  # reported like any other value outside (0, 1)
-    if not 0.0 < number < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"expected a number strictly between 0 and 1, got {value!r}")
-    return number
-
-
-def _add_common(parser):
-    parser.add_argument("--config", metavar="FILE",
-                        help="key=value file presetting any flag of this command")
-    parser.add_argument("-v", "--verbose", action="count", default=0,
-                        help="increase log verbosity (repeatable)")
+_positive_int = _checked(int, lambda n: n >= 1, "an integer of at least 1")
+_decay = _checked(float, lambda x: 0.0 < x < 1.0,
+                  "a number strictly between 0 and 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # parent parsers: each flag shared by several subcommands, written once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="FILE",
+                        help="key=value file presetting any flag of this command")
+    common.add_argument("-v", "--verbose", action="count", default=0,
+                        help="increase log verbosity (repeatable)")
+    ontology = argparse.ArgumentParser(add_help=False)
+    ontology.add_argument("--ontology", required=True, metavar="FILE")
+    simplification = argparse.ArgumentParser(add_help=False)
+    simplification.add_argument("--unify", choices=UNIFY_CHOICES,
+                                default="first-span")
+    simplification.add_argument("--unnest", choices=UNNEST_CHOICES,
+                                default="keep-longer")
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--set-name")
+    scoring.add_argument("--wang-decay", type=_decay, default=DEFAULT_DECAY)
+    ser = argparse.ArgumentParser(add_help=False)
+    ser.add_argument("--ser-denominator", choices=["reference", "prediction"],
+                     default="reference")
+    text_dir = argparse.ArgumentParser(add_help=False)
+    text_dir.add_argument("--text-dir", help="directory with original .txt files")
+
     parser = argparse.ArgumentParser(
         prog="conceptkit",
         description="Concept-recognition pipeline: conversion, tagging, "
                     "harmonisation, evaluation, tuning.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("convert", help="stand-off to CoNLL")
+    def command(name, func, parents, summary):
+        p = sub.add_parser(name, parents=[*parents, common], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("convert", cmd_convert, [simplification], "stand-off to CoNLL")
     p.add_argument("input", help="directory with .txt and .ann files")
     p.add_argument("output", help="directory for .conll files")
-    p.add_argument("--unify", choices=UNIFY_CHOICES, default="first-span")
-    p.add_argument("--unnest", choices=UNNEST_CHOICES, default="keep-longer")
-    _add_common(p)
-    p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("restore", help="CoNLL back to stand-off")
+    p = command("restore", cmd_restore, [text_dir], "CoNLL back to stand-off")
     p.add_argument("input", help="directory with .conll files")
     p.add_argument("output", help="directory for .ann files")
     p.add_argument("--id-source", choices=["id_tag", "dict"], default="id_tag")
-    p.add_argument("--text-dir", help="directory with original .txt files")
-    _add_common(p)
-    p.set_defaults(func=cmd_restore)
 
-    p = sub.add_parser("roundtrip-eval",
-                       help="score the corpus converted to CoNLL and back")
+    p = command("roundtrip-eval", cmd_roundtrip_eval,
+                [ontology, simplification, scoring, ser],
+                "score the corpus converted to CoNLL and back")
     p.add_argument("input", help="directory with .txt and .ann files")
-    p.add_argument("--ontology", required=True, metavar="FILE")
-    p.add_argument("--unify", choices=UNIFY_CHOICES, default="first-span")
-    p.add_argument("--unnest", choices=UNNEST_CHOICES, default="keep-longer")
     p.add_argument("--grid", action="store_true",
                    help="report every unify/unnest combination")
-    p.add_argument("--set-name")
-    p.add_argument("--wang-decay", type=_decay, default=DEFAULT_DECAY)
-    p.add_argument("--ser-denominator", choices=["reference", "prediction"],
-                   default="reference")
-    _add_common(p)
-    p.set_defaults(func=cmd_roundtrip_eval)
 
-    p = sub.add_parser("dict-tag", help="attach dictionary features")
+    p = command("dict-tag", cmd_dict_tag, [ontology], "attach dictionary features")
     p.add_argument("input", help="directory with .conll files (or .txt/.ann)")
     p.add_argument("output", help="directory for .conll files")
-    p.add_argument("--ontology", required=True, metavar="FILE")
     p.add_argument("--synonyms", metavar="FILE",
                    help="extra 'term<TAB>CURIE' lines")
     p.add_argument("--stopwords", metavar="FILE",
                    help="whitespace-separated stopword list")
-    _add_common(p)
-    p.set_defaults(func=cmd_dict_tag)
 
-    p = sub.add_parser("harmonise", help="merge prediction streams")
+    p = command("harmonise", cmd_harmonise, [text_dir], "merge prediction streams")
     p.add_argument("input", help="directory with .conll prediction files")
     p.add_argument("output", help="directory for .ann files")
     p.add_argument("--strategy", choices=STRATEGY_CHOICES, required=True)
-    p.add_argument("--text-dir", help="directory with original .txt files")
-    _add_common(p)
-    p.set_defaults(func=cmd_harmonise)
 
-    p = sub.add_parser("evaluate", help="score predictions against gold")
+    p = command("evaluate", cmd_evaluate, [ontology, scoring, ser],
+                "score predictions against gold")
     p.add_argument("gold", help="directory with gold .txt and .ann files")
     p.add_argument("pred", help="directory with predicted .ann files")
-    p.add_argument("--ontology", required=True, metavar="FILE")
     p.add_argument("--unseen-only", action="store_true",
                    help="keep only concepts absent from the training labels")
     p.add_argument("--train-labels", metavar="FILE",
                    help="one training-set CURIE per line")
-    p.add_argument("--set-name")
-    p.add_argument("--wang-decay", type=_decay, default=DEFAULT_DECAY)
-    p.add_argument("--ser-denominator", choices=["reference", "prediction"],
-                   default="reference")
-    _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("tune",
-                       help="cross-validated strategy selection")
+    p = command("tune", cmd_tune, [ontology, scoring],
+                "cross-validated strategy selection")
     p.add_argument("gold", help="directory with gold .txt and .ann files")
     p.add_argument("pred", help="directory with .conll prediction files")
-    p.add_argument("--ontology", required=True, metavar="FILE")
     p.add_argument("--folds", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes that score documents")
     p.add_argument("--strategies", default=",".join(STRATEGY_CHOICES),
                    help="comma-separated strategy subset")
-    p.add_argument("--set-name")
-    p.add_argument("--wang-decay", type=_decay, default=DEFAULT_DECAY)
-    _add_common(p)
-    p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("baseline-train", help="build the lexicon baseline")
+    p = command("baseline-train", cmd_baseline_train, [],
+                "build the lexicon baseline")
     p.add_argument("input", help="directory with training .conll files")
     p.add_argument("output", help="lexicon JSON file to write")
-    _add_common(p)
-    p.set_defaults(func=cmd_baseline_train)
 
-    p = sub.add_parser("baseline-tag", help="tag with the lexicon baseline")
+    p = command("baseline-tag", cmd_baseline_tag, [], "tag with the lexicon baseline")
     p.add_argument("input", help="directory with .conll files (or .txt/.ann)")
     p.add_argument("output", help="directory for .conll files")
     p.add_argument("--lexicon", required=True, metavar="FILE")
-    _add_common(p)
-    p.set_defaults(func=cmd_baseline_tag)
 
     return parser
 
@@ -407,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_tokens(path: str) -> list[str]:
     """Turn key=value lines into command-line tokens."""
     tokens = []
-    for lineno, line in enumerate(_read_text(Path(path)).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(Path(path)).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -12,12 +12,10 @@ class ParseError(ConceptKitError):
 
     def __init__(self, message: str, line: int | None = None, source: str | None = None):
         self.line = line
-        self.source = source
-        prefix = ""
-        if source is not None:
-            prefix += f"{source}:"
+        self.source = source or None  # "", the parsers' default, names no file
+        prefix = f"{source}:" if source else ""
         if line is not None:
             prefix += f"line {line}: "
-        elif source is not None:
+        elif source:
             prefix += " "
         super().__init__(prefix + message)

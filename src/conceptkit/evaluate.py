@@ -14,7 +14,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .model import Annotation, char_jaccard
+from .model import Annotation, Document, char_jaccard
 from .ontology import DEFAULT_DECAY, OntologyGraph, wang_similarity
 
 logger = logging.getLogger(__name__)
@@ -152,3 +152,20 @@ def filter_unseen(preds: list[Annotation], refs: list[Annotation],
         [p for p in preds if p.concept_id not in train_labels],
         [r for r in refs if r.concept_id not in train_labels],
     )
+
+
+def score_corpus(gold: dict[str, Document], preds: dict[str, Document],
+                 graph: OntologyGraph, decay: float = DEFAULT_DECAY,
+                 train_labels: set[str] | None = None) -> EvalCounts:
+    """Sum of score_document over the gold documents, each against the
+    prediction document of the same id; with train_labels, after
+    filter_unseen on both sides."""
+    total = EvalCounts()
+    for doc_id, ref_doc in gold.items():
+        pred_anns = list(preds[doc_id].annotations)
+        ref_anns = list(ref_doc.annotations)
+        if train_labels is not None:
+            pred_anns, ref_anns = filter_unseen(pred_anns, ref_anns,
+                                                train_labels)
+        total += score_document(pred_anns, ref_anns, graph, decay=decay)
+    return total

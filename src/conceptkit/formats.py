@@ -1,4 +1,5 @@
-"""Stand-off and CoNLL file formats, plus the reference tokenizer.
+"""Stand-off and CoNLL file formats, corpus directories of them, plus
+the reference tokenizer.
 
 Stand-off (.ann), one record per line, tab-separated:
 
@@ -15,14 +16,17 @@ CoNLL (.conll), one token per line, six tab-separated columns:
 Dictionary features are ";"-joined CURIEs, "-" when empty. A blank line
 separates sentences. Offsets refer to the original document text and
 increase monotonically through the file.
+
+A corpus directory holds DOC.txt with DOC.ann, or DOC.conll, per document.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+from pathlib import Path
 
-from .errors import ParseError
+from .errors import ConceptKitError, ParseError
 from .model import Annotation, ConllRow, Document, SpanTag, TextSpan
 
 logger = logging.getLogger(__name__)
@@ -193,3 +197,73 @@ def write_conll(sentences: list[list[ConllRow]]) -> str:
                 row.span_tag.value, row.id_tag, features)))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n" if blocks else ""
+
+
+def read_text(path: str | Path) -> str:
+    """Read a UTF-8 file without newline translation.
+
+    A CRLF stays two characters, as stand-off offsets count it.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            return f.read()
+    except FileNotFoundError:
+        raise ConceptKitError(f"missing file: {path}") from None
+
+
+def _files(path: str, suffix: str) -> list[Path]:
+    """The files of directory path whose names end in suffix, sorted."""
+    directory = Path(path)
+    if not directory.is_dir():
+        raise ConceptKitError(f"not a directory: {path}")
+    return sorted(directory.glob(f"*{suffix}"))
+
+
+def _read_anns(path: str, texts: dict[str, str]) -> dict[str, Document]:
+    """Parse each document's .ann file in directory path over its text;
+    a document without one has no annotations."""
+    anns = {ann.stem: ann for ann in _files(path, ".ann")}
+    return {doc_id: parse_standoff(read_text(anns[doc_id]) if doc_id in anns
+                                   else "", text, doc_id)
+            for doc_id, text in texts.items()}
+
+
+def read_standoff_dir(path: str) -> dict[str, Document]:
+    """Load all .txt/.ann pairs of a corpus directory."""
+    texts = {txt.stem: read_text(txt) for txt in _files(path, ".txt")}
+    if not texts:
+        raise ConceptKitError(f"no .txt documents in {path}")
+    return _read_anns(path, texts)
+
+
+def read_predictions_dir(path: str, texts: dict[str, str]) -> dict[str, Document]:
+    """Load predicted .ann files against the gold document texts."""
+    return _read_anns(path, texts)
+
+
+def _parse_conll_files(files: list[Path]):
+    """Yield (doc_id, sentences) of each .conll file, parsed in turn."""
+    for conll in files:
+        yield conll.stem, parse_conll(read_text(conll), source=str(conll))
+
+
+def read_conll_dir(path: str) -> dict[str, list[list[ConllRow]]]:
+    """Load all .conll files of a corpus directory."""
+    corpus = dict(_parse_conll_files(_files(path, ".conll")))
+    if not corpus:
+        raise ConceptKitError(f"no .conll documents in {path}")
+    return corpus
+
+
+def iter_sentences(path: str):
+    """Yield (doc_id, sentences) of a .conll or stand-off directory.
+
+    The .conll files are parsed when there are any; otherwise each .txt
+    document is tokenised into unlabelled rows, one sentence per line.
+    """
+    conll_files = _files(path, ".conll")
+    yield from _parse_conll_files(conll_files)
+    if not conll_files:
+        for doc_id, doc in read_standoff_dir(path).items():
+            yield doc_id, [[ConllRow(tok, span) for tok, span in sentence]
+                           for sentence in tokenize_sentences(doc.text)]

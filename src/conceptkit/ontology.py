@@ -130,7 +130,6 @@ def parse_obo(text: str, source: str = "") -> OntologyGraph:
     A leading byte order mark is ignored. Each CURIE is one string
     object, shared by its key and every is_a edge that names it.
     """
-    source = source or None  # errors name no file when there is none
     concepts: dict[str, Concept] = {}
     intern = {}.setdefault
     in_term = False

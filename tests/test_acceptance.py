@@ -65,7 +65,7 @@ def test_criterion_1_roundtrip_upper_bound():
 def _criterion_1_reference_corpus(corpus_dir):
     from pathlib import Path
 
-    from conceptkit.cli import read_standoff_dir
+    from conceptkit.formats import read_standoff_dir
 
     with criterion(1, "round-trip upper bound, reference corpus"):
         for set_name, expected in sorted(REFERENCE_UPPER_BOUNDS.items()):

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +202,13 @@ class TestHarmoniseEvaluate:
         # every concept was "seen": both sides empty
         assert cells[2:6] == ["0.0000", "0.0000", "0", "0"]
 
+    def test_missing_prediction_dir_fails(self, corpus, capsys):
+        missing = corpus / "no-such-pred"
+        assert run("evaluate", corpus / "gold", missing,
+                   "--ontology", corpus / "onto.obo") == 1
+        assert capsys.readouterr().err == (
+            f"conceptkit: error: not a directory: {missing}\n")
+
     def test_unseen_requires_labels(self, corpus, capsys):
         assert run("evaluate", corpus / "gold", corpus / "gold",
                    "--ontology", corpus / "onto.obo", "--unseen-only") == 1
@@ -294,3 +303,23 @@ class TestConfigFile:
         cfg.write_text("just nonsense\n")
         assert run("convert", corpus / "gold", corpus / "out",
                    "--config", cfg) == 1
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    """The benchmark's layer tracer wraps these names; a move or rename
+    that leaves one behind breaks every traced benchmark run."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    # the tracer imports its sibling corpus module by its plain name
+    for name in ("corpus", "layertrace"):
+        spec = importlib.util.spec_from_file_location(name, bench / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+    targets = sys.modules["layertrace"].TARGETS
+    assert targets
+    for module_name, path, _, _ in targets:
+        module = importlib.import_module(f"conceptkit.{module_name}")
+        owner_name, _, attr = path.rpartition(".")
+        owner = getattr(module, owner_name) if owner_name else module
+        assert callable(getattr(owner, attr, None)), f"{module_name}.{path}"
+        assert not owner_name or attr in vars(owner), f"{module_name}.{path}"

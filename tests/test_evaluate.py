@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conceptkit import (Annotation, TextSpan, filter_unseen, fscore,
-                        pair_similarity, score_document, slot_error_rate,
-                        wang_similarity)
-from conceptkit.evaluate import EvalCounts
+from conceptkit import (Annotation, Document, TextSpan, filter_unseen,
+                        fscore, pair_similarity, score_document,
+                        slot_error_rate, wang_similarity)
+from conceptkit.evaluate import EvalCounts, score_corpus
 
 from helpers import all_pairs_counts, optimal_counts, tree_graph
 
@@ -125,6 +125,39 @@ def _random_sides(rng, graph, max_per_side=8):
     if rng.random() < 0.3 and len(preds) < max_per_side:
         preds.append(ann(rng.choice(concepts), pos + 5, pos + 9))  # spurious
     return preds, refs
+
+
+class TestScoreCorpus:
+    def _corpus(self, graph):
+        rng = random.Random(17)
+        gold, preds = {}, {}
+        for i in range(12):
+            pred_anns, ref_anns = _random_sides(rng, graph)
+            gold[f"d{i}"] = Document(f"d{i}", "x" * 200, tuple(ref_anns))
+            preds[f"d{i}"] = Document(f"d{i}", "x" * 200, tuple(pred_anns))
+        return gold, preds
+
+    def test_sum_of_documents(self, small_tree):
+        gold, preds = self._corpus(small_tree)
+        expected = EvalCounts()
+        for doc_id, ref in gold.items():
+            expected += score_document(list(preds[doc_id].annotations),
+                                       list(ref.annotations), small_tree, 0.6)
+        assert expected.deletions and expected.matches
+        assert score_corpus(gold, preds, small_tree, 0.6) == expected
+
+    def test_sum_of_unseen_documents(self, small_tree):
+        gold, preds = self._corpus(small_tree)
+        train_labels = set(sorted(small_tree)[::2])
+        expected = EvalCounts()
+        for doc_id, ref in gold.items():
+            kept_preds, kept_refs = filter_unseen(
+                list(preds[doc_id].annotations), list(ref.annotations),
+                train_labels)
+            expected += score_document(kept_preds, kept_refs, small_tree)
+        assert expected != score_corpus(gold, preds, small_tree)
+        assert score_corpus(gold, preds, small_tree,
+                            train_labels=train_labels) == expected
 
 
 SWEEP_GRAPH = tree_graph()

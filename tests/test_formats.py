@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conceptkit import (NIL, Annotation, ConllRow, ParseError, SpanTag,
-                        TextSpan, parse_conll, parse_standoff, tokenize,
-                        write_conll, write_standoff)
-from conceptkit.formats import tokenize_sentences
+from conceptkit import (NIL, Annotation, ConceptKitError, ConllRow,
+                        ParseError, SpanTag, TextSpan, parse_conll, parse_obo,
+                        parse_standoff, tokenize, write_conll, write_standoff)
+from conceptkit.formats import (iter_sentences, read_conll_dir,
+                                read_predictions_dir, read_standoff_dir,
+                                read_text, tokenize_sentences)
 
 from helpers import (WORDS, per_line_sentences, random_simple_document,
                      rows_from_tuples)
@@ -192,3 +194,81 @@ class TestRowsFromTuples:
     def test_helper_builds_rows(self):
         rows = rows_from_tuples([("a", 0, 1, "B", "X:1", ["X:1"])])
         assert rows[0].span_tag is SpanTag.B
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_conll, "a\t0\n", "line 1: expected 6 columns, got 2"),
+    (lambda text: parse_standoff(text, "abc"), "x",
+     "line 1: expected tab-separated record"),
+    (parse_obo, "[Term]\nid: X:1\nis_a:\n", "line 3: empty is_a target"),
+    (parse_obo, "[Term]\nid: X:1\nis_a: X:1\n", "is_a cycle involving X:1"),
+])
+def test_error_without_source_names_no_file(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+    assert info.value.source is None
+
+
+class TestCorpusDirectories:
+    def test_crlf_text_is_kept(self, tmp_path):
+        (tmp_path / "doc.txt").write_bytes(b"one\r\ntwo\r\n")
+        (tmp_path / "doc.ann").write_bytes(b"T1\tX:1 5 8\ttwo\r\n")
+        assert read_text(tmp_path / "doc.txt") == "one\r\ntwo\r\n"
+        doc = read_standoff_dir(str(tmp_path))["doc"]
+        assert doc.text == "one\r\ntwo\r\n"
+        assert doc.covered_text(doc.annotations[0]) == "two"
+
+    def test_missing_ann_is_an_empty_document(self, tmp_path):
+        (tmp_path / "a.txt").write_text("alpha\n")
+        (tmp_path / "a.ann").write_text("T1\tX:1 0 5\talpha\n")
+        (tmp_path / "b.txt").write_text("beta\n")
+        docs = read_standoff_dir(str(tmp_path))
+        assert list(docs) == ["a", "b"]
+        assert len(docs["a"].annotations) == 1
+        assert docs["b"].text == "beta\n" and docs["b"].annotations == ()
+
+    def test_predictions_follow_the_given_texts(self, tmp_path):
+        (tmp_path / "a.ann").write_text("T1\tX:1 0 5\talpha\n")
+        (tmp_path / "stray.ann").write_text("T1\tX:1 0 5\tstray\n")
+        preds = read_predictions_dir(str(tmp_path), {"a": "alpha", "b": "beta"})
+        assert list(preds) == ["a", "b"]
+        assert preds["a"].annotations[0].concept_id == "X:1"
+        assert preds["b"].text == "beta" and preds["b"].annotations == ()
+
+    @pytest.mark.parametrize("read", [
+        read_standoff_dir, read_conll_dir,
+        lambda path: read_predictions_dir(path, {"a": "alpha"}),
+        lambda path: list(iter_sentences(path)),
+    ])
+    def test_not_a_directory(self, tmp_path, read):
+        missing = str(tmp_path / "missing")
+        with pytest.raises(ConceptKitError, match="^not a directory: .*missing$"):
+            read(missing)
+
+    @pytest.mark.parametrize("read, suffix", [
+        (read_standoff_dir, ".txt"), (read_conll_dir, ".conll"),
+        (lambda path: list(iter_sentences(path)), ".txt"),
+    ])
+    def test_no_documents(self, tmp_path, read, suffix):
+        (tmp_path / "notes.md").write_text("nothing here\n")
+        with pytest.raises(ConceptKitError,
+                           match=f"^no \\{suffix} documents in "):
+            read(str(tmp_path))
+
+    def test_sentences_from_conll_files(self, tmp_path):
+        rows = [[ConllRow("alpha", TextSpan(0, 5), SpanTag.S, "X:1", ("X:1",))]]
+        (tmp_path / "a.conll").write_text(write_conll(rows))
+        (tmp_path / "a.txt").write_text("ignored when there is CoNLL\n")
+        assert list(iter_sentences(str(tmp_path))) == [("a", rows)]
+
+    def test_sentences_fall_back_to_tokenised_text(self, tmp_path):
+        (tmp_path / "a.txt").write_text("one two\n\nthree.\n")
+        (tmp_path / "a.ann").write_text("T1\tX:1 0 3\tone\n")
+        [(doc_id, sentences)] = iter_sentences(str(tmp_path))
+        assert doc_id == "a"
+        assert sentences == [
+            [ConllRow("one", TextSpan(0, 3)), ConllRow("two", TextSpan(4, 7))],
+            [ConllRow("three", TextSpan(9, 14)), ConllRow(".", TextSpan(14, 15))]]
+        assert all(row.span_tag == SpanTag.O and row.id_tag == NIL
+                   for sentence in sentences for row in sentence)
