@@ -18,7 +18,8 @@ from .ontology import OntologyGraph
 
 logger = logging.getLogger(__name__)
 
-_NON_ALNUM_RE = re.compile(r"[\W_]+")
+# A run of letters and digits: one token of a normalised term.
+_TOKEN_RE = re.compile(r"[^\W_]+")
 
 # Closed-class surface forms suppressed as single-token matches. The
 # list is a configuration knob, not linguistics: highly ambiguous short
@@ -48,14 +49,15 @@ def normalize_term(term: str) -> list[str]:
     """Normalise a surface string to its matching token form.
 
     Compatibility-normalise, lower-case, spell out Greek letters,
-    replace punctuation with spaces, tokenise, and strip a trailing
-    plural "s" from tokens of length >= 4.
+    split into runs of letters and digits (so punctuation, underscores
+    and whitespace separate tokens), and strip a trailing plural "s"
+    from tokens of length >= 4.
     """
     s = unicodedata.normalize("NFKC", term).lower()
     if not s.isascii() and max(s) > "\u036f":
         s = "".join(_spell_greek(c) or c for c in s)
-    tokens = _NON_ALNUM_RE.sub(" ", s).split()
-    return [t[:-1] if len(t) >= 4 and t.endswith("s") else t for t in tokens]
+    return [t[:-1] if t[-1] == "s" and len(t) >= 4 else t
+            for t in _TOKEN_RE.findall(s)]
 
 
 @dataclass(frozen=True)

@@ -66,14 +66,18 @@ def _normalise_ws(s: str) -> str:
     return " ".join(s.split())
 
 
-def parse_standoff(ann_text: str, doc_text: str, doc_id: str = "") -> Document:
+def parse_standoff(ann_text: str, doc_text: str, doc_id: str = "",
+                   source: str | None = None) -> Document:
     """Parse stand-off records over the given document text.
 
     Offsets are authoritative: a mismatch between the recorded text and
     the covered text is logged as a warning and the annotation is kept.
     Out-of-range offsets or malformed records raise ParseError with the
-    offending line number. Record order is preserved.
+    offending line number. Record order is preserved. Errors and
+    warnings name `source`, the .ann file, which defaults to `doc_id`.
     """
+    if source is None:
+        source = doc_id
     annotations = []
     seen_ids = set()
     for lineno, line in enumerate(ann_text.splitlines(), start=1):
@@ -81,45 +85,45 @@ def parse_standoff(ann_text: str, doc_text: str, doc_id: str = "") -> Document:
             continue
         fields = line.split("\t", 2)
         if len(fields) < 2:
-            raise ParseError("expected tab-separated record", line=lineno, source=doc_id)
+            raise ParseError("expected tab-separated record", line=lineno, source=source)
         ann_id, type_field = fields[0], fields[1]
         recorded_text = fields[2] if len(fields) > 2 else ""
         if not ann_id.startswith("T"):
             continue
         if ann_id in seen_ids:
-            raise ParseError(f"duplicate annotation id {ann_id}", line=lineno, source=doc_id)
+            raise ParseError(f"duplicate annotation id {ann_id}", line=lineno, source=source)
         seen_ids.add(ann_id)
         concept, _, fragment_field = type_field.partition(" ")
         if not concept or not fragment_field:
             raise ParseError("expected 'CONCEPT start end[;start end...]'",
-                             line=lineno, source=doc_id)
+                             line=lineno, source=source)
         spans = []
         for fragment in fragment_field.split(";"):
             parts = fragment.split()
             if len(parts) != 2:
-                raise ParseError(f"bad fragment {fragment!r}", line=lineno, source=doc_id)
+                raise ParseError(f"bad fragment {fragment!r}", line=lineno, source=source)
             try:
                 start, end = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError(f"non-integer offsets in {fragment!r}",
-                                 line=lineno, source=doc_id) from None
+                                 line=lineno, source=source) from None
             if start < 0 or start >= end:
                 raise ParseError(f"empty or inverted span {start} {end}",
-                                 line=lineno, source=doc_id)
+                                 line=lineno, source=source)
             if end > len(doc_text):
                 raise ParseError(
                     f"offset {end} beyond text length {len(doc_text)}",
-                    line=lineno, source=doc_id)
+                    line=lineno, source=source)
             spans.append(TextSpan(start, end))
         try:
             ann = Annotation(concept, tuple(spans), recorded_text)
         except ValueError as exc:
-            raise ParseError(str(exc), line=lineno, source=doc_id) from None
+            raise ParseError(str(exc), line=lineno, source=source) from None
         covered = " ... ".join(doc_text[s.start:s.end] for s in ann.spans)
         if recorded_text and _normalise_ws(recorded_text) != _normalise_ws(covered):
             logger.warning(
                 "%s:%d: text mismatch for %s: recorded %r, covered %r",
-                doc_id, lineno, ann_id, recorded_text, covered)
+                source, lineno, ann_id, recorded_text, covered)
         annotations.append(ann)
     return Document(doc_id, doc_text, tuple(annotations))
 
@@ -223,9 +227,12 @@ def _read_anns(path: str, texts: dict[str, str]) -> dict[str, Document]:
     """Parse each document's .ann file in directory path over its text;
     a document without one has no annotations."""
     anns = {ann.stem: ann for ann in _files(path, ".ann")}
-    return {doc_id: parse_standoff(read_text(anns[doc_id]) if doc_id in anns
-                                   else "", text, doc_id)
-            for doc_id, text in texts.items()}
+    docs = {}
+    for doc_id, text in texts.items():
+        ann = anns.get(doc_id)
+        docs[doc_id] = parse_standoff(read_text(ann) if ann else "", text,
+                                      doc_id, source=str(ann or doc_id))
+    return docs
 
 
 def read_standoff_dir(path: str) -> dict[str, Document]:

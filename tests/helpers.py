@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import random
+import re
 import unicodedata
 from contextlib import contextmanager
 
@@ -11,10 +12,10 @@ from conceptkit import (NIL, Annotation, ConllRow, Document, OntologyGraph,
                         ParseError, SpanTag, TermIndex, TextSpan, parse_obo,
                         tokenize)
 from conceptkit.codec import iter_blocks
-from conceptkit.dicttag import _NON_ALNUM_RE, _spell_greek
+from conceptkit.dicttag import _spell_greek
 from conceptkit.evaluate import EvalCounts, pair_similarity
 from conceptkit.harmonise import _route
-from conceptkit.ontology import _SYNONYM_RE, Concept
+from conceptkit.ontology import Concept
 
 # Three-node chain: C is_a B is_a A.
 CHAIN_OBO = """\
@@ -240,6 +241,11 @@ def per_line_sentences(text: str) -> list[list[tuple[str, TextSpan]]]:
     return sentences
 
 
+#: A synonym's quoted text, matched one character or escape at a time.
+#: Reference for `ontology._SYNONYM_RE`, which must find the same span
+#: and group.
+REFERENCE_SYNONYM_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
 #: Logger of the reference OBO parser and term indexer below.
 reference_logger = logging.getLogger("helpers.reference")
 
@@ -297,7 +303,7 @@ def reference_parse_obo(text: str, source: str = "") -> OntologyGraph:
         elif key == "name":
             stanza["name"] = value
         elif key == "synonym":
-            match = _SYNONYM_RE.search(raw_value)
+            match = REFERENCE_SYNONYM_RE.search(raw_value)
             if not match:
                 raise ParseError(f"unparseable synonym {raw_value.strip()!r}",
                                  line=lineno, source=source)
@@ -322,12 +328,18 @@ def reference_parse_obo(text: str, source: str = "") -> OntologyGraph:
     return OntologyGraph(concepts)
 
 
+#: Punctuation, underscores and whitespace, replaced by one space each
+#: run in `reference_normalize_term`.
+REFERENCE_NON_ALNUM_RE = re.compile(r"[\W_]+")
+
+
 def reference_normalize_term(term: str) -> list[str]:
-    """`dicttag.normalize_term` with its per-character Greek-letter test."""
+    """`dicttag.normalize_term` with a per-character Greek-letter test,
+    punctuation replaced by spaces and the result split at whitespace."""
     s = unicodedata.normalize("NFKC", term).lower()
     if any(ord(c) > 0x036F for c in s):
         s = "".join(_spell_greek(c) or c for c in s)
-    tokens = _NON_ALNUM_RE.sub(" ", s).split()
+    tokens = REFERENCE_NON_ALNUM_RE.sub(" ", s).split()
     return [t[:-1] if len(t) >= 4 and t.endswith("s") else t for t in tokens]
 
 

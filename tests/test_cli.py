@@ -55,6 +55,17 @@ class TestConvertRestore:
         assert run("convert", corpus / "missing", corpus / "out") == 1
         assert "error" in capsys.readouterr().err
 
+    def test_bad_ann_error_names_the_file(self, tmp_path, capsys):
+        gold = tmp_path / "gold"
+        gold.mkdir()
+        (gold / "doc.txt").write_text("kinase binds\n")
+        (gold / "doc.ann").write_text("T1\tTR:0001 0 6\tkinase\n"
+                                      "T1\tTR:0002 7 12\tbinds\n")
+        assert run("convert", gold, tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            f"conceptkit: error: {gold / 'doc.ann'}:line 2: "
+            "duplicate annotation id T1\n")
+
 
 class TestCrlf:
     def test_crlf_offsets_survive_convert_and_roundtrip(self, tmp_path, capsys):
@@ -208,6 +219,20 @@ class TestHarmoniseEvaluate:
                    "--ontology", corpus / "onto.obo") == 1
         assert capsys.readouterr().err == (
             f"conceptkit: error: not a directory: {missing}\n")
+
+    def test_bad_prediction_error_names_the_file(self, tmp_path, capsys):
+        gold, pred = tmp_path / "gold", tmp_path / "pred"
+        gold.mkdir()
+        pred.mkdir()
+        (gold / "doc.txt").write_text("kinase binds\n")
+        (gold / "doc.ann").write_text("T1\tTR:0001 0 6\tkinase\n")
+        (pred / "doc.ann").write_text("T1\tTR:0001 0 60\tkinase\n")
+        obo = tmp_path / "onto.obo"
+        obo.write_text(tree_obo())
+        assert run("evaluate", gold, pred, "--ontology", obo) == 1
+        assert capsys.readouterr().err == (
+            f"conceptkit: error: {pred / 'doc.ann'}:line 1: "
+            "offset 60 beyond text length 13\n")
 
     def test_unseen_requires_labels(self, corpus, capsys):
         assert run("evaluate", corpus / "gold", corpus / "gold",

@@ -219,11 +219,17 @@ class TestReadSynonyms:
             read_synonyms("no tab here\n")
 
 
+#: Whitespace that NFKC maps to a space or keeps (tab, no-break space,
+#: ideographic space, next line, line separator), a combining accent
+#: after a space, capital and final sigmas, and spacing marks that NFKC
+#: decomposes into a space and a combining mark.
+_WORD_BREAK_PIECES = ["\t", "\xa0", "\u3000", "\x85", "\u2028", " \u0301",
+                      "Σ", "ΟΣ", "ς", "¨", "῭"]
 #: Surface pieces with Greek letters, compatibility forms (ligature,
 #: fullwidth, micro sign, superscript), plural endings and punctuation.
 _TERM = st.lists(st.sampled_from(
     ["cell", "cells", "a", " ", "-", "_", "!", "α", "β", "Ω", "ﬁ", "Ａ",
-     "µ", "²", "é", "ß", "İ"]), max_size=4).map("".join)
+     "µ", "²", "é", "ß", "İ", *_WORD_BREAK_PIECES]), max_size=4).map("".join)
 _CURIE = st.sampled_from(["X:1", "X:2", "X:3", "X:4"])
 _GRAPH = st.dictionaries(
     _CURIE,
@@ -247,6 +253,15 @@ def test_index_matches_set_collecting_reference(graph, extra):
     assert got == want
 
 
-@given(st.text())
+@given(st.one_of(st.text(), _TERM))
 def test_normalize_term_matches_per_character_greek_test(term):
     assert normalize_term(term) == reference_normalize_term(term)
+
+
+@given(st.one_of(st.text(), _TERM))
+def test_term_normalises_word_by_word(term):
+    """Whitespace is a barrier to every normalisation step, so an index
+    key, normalised from a whole term, equals the tokens `tag` gets by
+    normalising the term's words one at a time."""
+    assert normalize_term(term) == [
+        token for word in term.split() for token in normalize_term(word)]

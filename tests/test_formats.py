@@ -102,9 +102,11 @@ class TestStandoff:
 
     def test_text_mismatch_keeps_annotation(self, caplog):
         with caplog.at_level("WARNING"):
-            doc = parse_standoff("T1\tX:1 0 5\twrong\n", "agent of change")
+            doc = parse_standoff("T1\tX:1 0 5\twrong\n", "agent of change",
+                                 "doc", source="gold/doc.ann")
         assert len(doc.annotations) == 1
-        assert "mismatch" in caplog.text
+        assert doc.doc_id == "doc"
+        assert "gold/doc.ann:1: text mismatch" in caplog.text
 
     def test_non_textbound_lines_skipped(self):
         doc = parse_standoff("#1\tnote\nT1\tX:1 0 5\tagent\n", "agent")

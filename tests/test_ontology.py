@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 import conceptkit
 from conceptkit import ParseError, parse_obo, wang_similarity
-from conceptkit.ontology import _lines
+from conceptkit.ontology import _SYNONYM_RE, Concept, _lines
 
-from helpers import (chain_obo, collect_warnings, reference_logger,
-                     reference_parse_obo)
+from helpers import (REFERENCE_SYNONYM_RE, chain_obo, collect_warnings,
+                     reference_logger, reference_parse_obo)
 
 DIAMOND_OBO = """\
 [Term]
@@ -72,24 +72,29 @@ class TestParseObo:
         assert str(info.value) == "line 3: unparseable synonym 'bad'"
 
     def test_unclosed_quote_fails_fast(self):
-        """An unterminated synonym is an error, found in linear time."""
+        """An unterminated synonym is an error, found in linear time, also
+        with 10,000 plain characters before or after the quote."""
         code = ("from conceptkit import ParseError, parse_obo\n"
-                "try:\n"
-                "    parse_obo('[Term]\\nid: X:1\\nsynonym: \"' + 'a' * 40)\n"
-                "except ParseError as exc:\n"
-                "    print(exc)\n")
+                "for value in ['\"' + 'a' * 40, 'a' * 10_000 + '\"' + 'a' * 40,\n"
+                "              '\"' + 'a' * 10_000]:\n"
+                "    try:\n"
+                "        parse_obo('[Term]\\nid: X:1\\nsynonym: ' + value)\n"
+                "    except ParseError as exc:\n"
+                "        print(str(exc)[:27])\n")
         env = dict(os.environ,
                    PYTHONPATH=str(Path(conceptkit.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
-        assert proc.stdout.startswith("line 3: unparseable synonym"), proc.stderr
+        assert proc.stdout == "line 3: unparseable synonym\n" * 3, proc.stderr
 
     def test_comments_and_other_stanzas_ignored(self):
         text = ("[Typedef]\nid: part_of\n\n"
-                "[Term]\nid: X:1\nname: kept ! trailing comment\n")
+                "[Term]\nid: X:1\nname: kept ! trailing comment\n"
+                'namespace: ns\nsubset: s\nsynonyms: "x" []\n'
+                "is_anonymous: true\nidspace: Y\n")
         graph = parse_obo(text)
         assert list(graph) == ["X:1"]
-        assert graph["X:1"].name == "kept"
+        assert graph["X:1"] == Concept("kept")
 
     def test_leading_bom_keeps_the_first_stanza(self, caplog):
         text = "\ufeff[Term]\nid: X:1\nname: a\n\n[Term]\nid: X:2\nis_a: X:1\n"
@@ -150,7 +155,8 @@ _COMMENT = st.sampled_from(["", "", " ! note", "! x"])
 _OBO_LINE = st.one_of(
     st.sampled_from(["", "  ", "! comment", "format-version: 1.2", "xref: X:1",
                      'def: "text ! here" []', "is_a:", "synonym: unquoted",
-                     "[Typedef]"]),
+                     "[Typedef]", "namespace: n", "subset: s", "id : X:4",
+                     "is_anonymous: true", 'synonyms: "x" []', "name : y"]),
     st.builds("id: {}{}".format, _CURIES, _COMMENT),
     st.builds("name: {}{}".format, _VALUE, _COMMENT),
     st.builds('synonym: "{}" EXACT []{}'.format, _QUOTED, _COMMENT),
@@ -158,6 +164,13 @@ _OBO_LINE = st.one_of(
     st.builds("is_obsolete: {}{}".format,
               st.sampled_from(["true", "TRUE", "false", ""]), _COMMENT),
 )
+
+
+@given(st.lists(st.sampled_from(['"', "\\", "!", "a", " ", "é"])).map("".join))
+def test_synonym_pattern_matches_per_character_reference(value):
+    got, want = _SYNONYM_RE.search(value), REFERENCE_SYNONYM_RE.search(value)
+    assert (got and (got.span(), got.group(1))) == (
+        want and (want.span(), want.group(1)))
 
 
 def _stanza(k: int):
