@@ -17,7 +17,7 @@ from .formats import (parse_conll, parse_standoff, tokenize, write_conll,
 from .harmonise import (HarmonisationStrategy, TokenPrediction,
                         harmonise_document, harmonise_token)
 from .model import (NIL, Annotation, ConllRow, Document, SpanTag, TextSpan,
-                    char_jaccard, spans_overlap)
+                    char_jaccard)
 from .ontology import OntologyGraph, parse_obo, wang_similarity
 from .simplify import (UnifyStrategy, UnnestStrategy, extend_subword,
                        simplify, unify, unnest)
@@ -36,7 +36,6 @@ __all__ = [
     "grid_search", "harmonise_document", "harmonise_token", "make_folds",
     "normalize_term", "pair_similarity", "parse_conll", "parse_obo",
     "parse_standoff", "roundtrip_upper_bound", "score_document",
-    "select_strategy", "simplify", "slot_error_rate", "spans_overlap",
-    "tag", "tokenize", "unify", "unnest", "wang_similarity", "write_conll",
-    "write_standoff",
+    "select_strategy", "simplify", "slot_error_rate", "tag", "tokenize",
+    "unify", "unnest", "wang_similarity", "write_conll", "write_standoff",
 ]

@@ -139,14 +139,13 @@ def _read_train_labels(path: str) -> set[str]:
 
 
 def cmd_evaluate(args) -> int:
+    if bool(args.unseen_only) != bool(args.train_labels):
+        raise ConceptKitError("--unseen-only and --train-labels FILE go together")
     gold = read_standoff_dir(args.gold)
     preds = read_predictions_dir(args.pred, {d: doc.text for d, doc in gold.items()})
     graph = _load_ontology(args.ontology)
-    train_labels = None
-    if args.unseen_only:
-        if not args.train_labels:
-            raise ConceptKitError("--unseen-only requires --train-labels FILE")
-        train_labels = _read_train_labels(args.train_labels)
+    train_labels = (_read_train_labels(args.train_labels)
+                    if args.unseen_only else None)
     total = evaluate.score_corpus(gold, preds, graph, args.wang_decay,
                                   train_labels)
     set_name = args.set_name or Path(args.gold).name
@@ -288,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unseen-only", action="store_true",
                    help="keep only concepts absent from the training labels")
     p.add_argument("--train-labels", metavar="FILE",
-                   help="one training-set CURIE per line")
+                   help="one training-set CURIE per line, for --unseen-only")
 
     p = command("tune", cmd_tune, [ontology, scoring],
                 "cross-validated strategy selection")

@@ -133,7 +133,8 @@ def write_standoff(doc: Document) -> str:
     lines = []
     for i, ann in enumerate(doc.annotations, start=1):
         fragments = ";".join(f"{s.start} {s.end}" for s in ann.spans)
-        text = doc.covered_text(ann).replace("\n", " ").replace("\t", " ")
+        # any line boundary or tab in the text would split the record
+        text = " ".join(doc.covered_text(ann).replace("\t", " ").splitlines())
         lines.append(f"T{i}\t{ann.concept_id} {fragments}\t{text}")
     return "".join(line + "\n" for line in lines)
 

@@ -44,9 +44,6 @@ class TextSpan:
     def __len__(self) -> int:
         return self.end - self.start
 
-    def overlaps(self, other: TextSpan) -> bool:
-        return self.start < other.end and other.start < self.end
-
 
 @dataclass(frozen=True, order=True)
 class Annotation:
@@ -160,8 +157,3 @@ def char_jaccard(a: Iterable[TextSpan], b: Iterable[TextSpan]) -> float:
     inter = _intersection_size(a, b)
     union = sum(len(s) for s in a) + sum(len(s) for s in b) - inter
     return inter / union if union else 0.0
-
-
-def spans_overlap(a: Annotation, b: Annotation) -> bool:
-    """True iff any fragment of `a` shares at least one character with `b`."""
-    return _intersection_size(a.spans, b.spans) > 0

@@ -10,10 +10,11 @@ pair (unnesting). Each step is parameterised by a strategy.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, bisect_right
 from enum import Enum
 
 from .formats import tokenize
-from .model import Annotation, Document, TextSpan, spans_overlap
+from .model import Annotation, Document, TextSpan
 
 logger = logging.getLogger(__name__)
 
@@ -50,30 +51,31 @@ def unify(ann: Annotation, strategy: UnifyStrategy) -> Annotation:
     return Annotation(ann.concept_id, (span,), ann.text)
 
 
+def _single_span(doc: Document, ann: Annotation) -> None:
+    if ann.discontinuous:
+        raise ValueError(f"{doc.doc_id}: discontinuous annotation {ann}; "
+                         "unify it first")
+
+
 def extend_subword(doc: Document, tokens: list[tuple[str, TextSpan]]) -> Document:
-    """Snap annotation boundaries outward to enclosing token boundaries.
+    """Snap single-span annotations outward to enclosing token boundaries.
 
     Annotations overlapping no token at all are dropped with a warning.
-    Fragments that grow together are merged.
+    `tokens` must be ordered and disjoint, as `tokenize` returns them.
     """
+    starts = [t.start for _, t in tokens]
+    ends = [t.end for _, t in tokens]
     result = []
     for ann in doc.annotations:
-        fragments: list[TextSpan] = []
-        for span in ann.spans:
-            covering = [t for _, t in tokens if t.overlaps(span)]
-            if not covering:
-                continue
-            snapped = TextSpan(covering[0].start, covering[-1].end)
-            if fragments and snapped.start <= fragments[-1].end:
-                fragments[-1] = TextSpan(
-                    fragments[-1].start, max(fragments[-1].end, snapped.end))
-            else:
-                fragments.append(snapped)
-        if not fragments:
+        _single_span(doc, ann)
+        first = bisect_right(ends, ann.start)
+        last = bisect_left(starts, ann.end) - 1
+        if first > last:
             logger.warning("%s: dropping annotation %s at %s: overlaps no token",
                            doc.doc_id, ann.concept_id, ann.spans)
             continue
-        result.append(Annotation(ann.concept_id, tuple(fragments), ann.text))
+        span = TextSpan(starts[first], ends[last])
+        result.append(Annotation(ann.concept_id, (span,), ann.text))
     return Document(doc.doc_id, doc.text, tuple(result))
 
 
@@ -90,28 +92,28 @@ def _beats(a: Annotation, b: Annotation, strategy: UnnestStrategy) -> bool:
 
 
 def unnest(doc: Document, strategy: UnnestStrategy) -> Document:
-    """Delete one of each overlapping annotation pair.
+    """Delete one of each overlapping pair of single-span annotations.
 
     Annotations are swept left to right ordered by (start, -length,
-    concept). Each incoming annotation is matched against current
-    survivors; it is dropped as soon as it loses one contest, otherwise
-    it evicts the survivors it beats. A deleted annotation takes no
-    further part in the sweep.
+    concept). Survivors are disjoint and ordered by start, so only the
+    last one can overlap an incoming annotation: the incoming one is
+    dropped if it loses that contest, otherwise it evicts the survivor.
+    A deleted annotation takes no further part in the sweep.
     """
     strategy = UnnestStrategy(strategy)
-    order = sorted(range(len(doc.annotations)),
-                   key=lambda i: (doc.annotations[i].start,
-                                  -doc.annotations[i].length,
-                                  doc.annotations[i].concept_id))
+    anns = doc.annotations
+    order = sorted(range(len(anns)),
+                   key=lambda i: (anns[i].start, -anns[i].length,
+                                  anns[i].concept_id))
     kept: list[int] = []
     for i in order:
-        ann = doc.annotations[i]
-        rivals = [j for j in kept if spans_overlap(doc.annotations[j], ann)]
-        if all(_beats(ann, doc.annotations[j], strategy) for j in rivals):
-            kept = [j for j in kept if j not in rivals] + [i]
-    survivors = set(kept)
-    remaining = tuple(a for i, a in enumerate(doc.annotations) if i in survivors)
-    return Document(doc.doc_id, doc.text, remaining)
+        _single_span(doc, anns[i])
+        if kept and anns[kept[-1]].end > anns[i].start:
+            if not _beats(anns[i], anns[kept[-1]], strategy):
+                continue
+            kept.pop()
+        kept.append(i)
+    return Document(doc.doc_id, doc.text, tuple(anns[i] for i in sorted(kept)))
 
 
 def simplify(doc: Document, unify_strategy: UnifyStrategy,

@@ -16,6 +16,7 @@ from conceptkit.dicttag import _spell_greek
 from conceptkit.evaluate import EvalCounts, pair_similarity
 from conceptkit.harmonise import _route
 from conceptkit.ontology import Concept
+from conceptkit.simplify import UnnestStrategy, _beats
 
 # Three-node chain: C is_a B is_a A.
 CHAIN_OBO = """\
@@ -152,6 +153,57 @@ def brute_jaccard(a, b) -> float:
     chars_b = {c for span in b for c in range(span.start, span.end)}
     union = chars_a | chars_b
     return len(chars_a & chars_b) / len(union) if union else 0.0
+
+
+def _share_a_character(a_spans, b_spans) -> bool:
+    return brute_jaccard(a_spans, b_spans) > 0
+
+
+def reference_extend_subword(doc: Document, tokens) -> Document:
+    """Sub-word extension by a scan over every token for every fragment.
+
+    Reference for `simplify.extend_subword`, which bisects and takes
+    single-span annotations only. Fragments that grow together merge.
+    """
+    result = []
+    for ann in doc.annotations:
+        fragments: list[TextSpan] = []
+        for span in ann.spans:
+            covering = [t for _, t in tokens if _share_a_character((t,), (span,))]
+            if not covering:
+                continue
+            snapped = TextSpan(covering[0].start, covering[-1].end)
+            if fragments and snapped.start <= fragments[-1].end:
+                fragments[-1] = TextSpan(
+                    fragments[-1].start, max(fragments[-1].end, snapped.end))
+            else:
+                fragments.append(snapped)
+        if fragments:
+            result.append(Annotation(ann.concept_id, tuple(fragments), ann.text))
+    return Document(doc.doc_id, doc.text, tuple(result))
+
+
+def reference_unnest(doc: Document, strategy) -> Document:
+    """Unnesting that contests each annotation against every survivor.
+
+    Reference for `simplify.unnest`, which compares with the last
+    survivor only.
+    """
+    strategy = UnnestStrategy(strategy)
+    order = sorted(range(len(doc.annotations)),
+                   key=lambda i: (doc.annotations[i].start,
+                                  -doc.annotations[i].length,
+                                  doc.annotations[i].concept_id))
+    kept: list[int] = []
+    for i in order:
+        ann = doc.annotations[i]
+        rivals = [j for j in kept
+                  if _share_a_character(doc.annotations[j].spans, ann.spans)]
+        if all(_beats(ann, doc.annotations[j], strategy) for j in rivals):
+            kept = [j for j in kept if j not in rivals] + [i]
+    survivors = set(kept)
+    remaining = tuple(a for i, a in enumerate(doc.annotations) if i in survivors)
+    return Document(doc.doc_id, doc.text, remaining)
 
 
 def all_pairs_counts(preds, refs, graph, decay=0.8) -> EvalCounts:

@@ -51,6 +51,26 @@ class TestConvertRestore:
                    "--text-dir", corpus / "gold") == 0
         assert (restored / "doc2.ann").read_text() == DOC2_ANN
 
+    def test_restore_keeps_records_whole(self, tmp_path, capsys):
+        # a form feed is a line boundary to str.splitlines, so a restored
+        # record that kept it would split in two
+        gold = tmp_path / "gold"
+        gold.mkdir()
+        (gold / "d.txt").write_text("alpha\x0cbeta binds gamma\n")
+        (gold / "d.ann").write_text("T1\tTR:0001 0 10\talpha beta\n")
+        obo = tmp_path / "onto.obo"
+        obo.write_text(tree_obo())
+        assert run("convert", gold, tmp_path / "conll") == 0
+        assert run("restore", tmp_path / "conll", tmp_path / "restored",
+                   "--text-dir", gold) == 0
+        assert (tmp_path / "restored" / "d.ann").read_text() == (
+            "T1\tTR:0001 0 10\talpha beta\n")
+        assert run("evaluate", gold, tmp_path / "restored",
+                   "--ontology", obo) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1].split("\t")[8] == "1.0000"
+
     def test_bad_input_dir_fails(self, corpus, capsys):
         assert run("convert", corpus / "missing", corpus / "out") == 1
         assert "error" in capsys.readouterr().err
@@ -238,6 +258,16 @@ class TestHarmoniseEvaluate:
         assert run("evaluate", corpus / "gold", corpus / "gold",
                    "--ontology", corpus / "onto.obo", "--unseen-only") == 1
         assert "train-labels" in capsys.readouterr().err
+
+    def test_labels_require_unseen(self, corpus, capsys):
+        labels = corpus / "train-labels.txt"
+        labels.write_text("TR:0001\n")
+        assert run("evaluate", corpus / "gold", corpus / "gold",
+                   "--ontology", corpus / "onto.obo",
+                   "--train-labels", labels) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--unseen-only" in captured.err
 
 
 class TestTune:

@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conceptkit import (NIL, Annotation, ConceptKitError, ConllRow,
+from conceptkit import (NIL, Annotation, ConceptKitError, ConllRow, Document,
                         ParseError, SpanTag, TextSpan, parse_conll, parse_obo,
                         parse_standoff, tokenize, write_conll, write_standoff)
+from conceptkit.formats import logger as formats_logger
 from conceptkit.formats import (iter_sentences, read_conll_dir,
                                 read_predictions_dir, read_standoff_dir,
                                 read_text, tokenize_sentences)
 
-from helpers import (WORDS, per_line_sentences, random_simple_document,
-                     rows_from_tuples)
+from helpers import (WORDS, collect_warnings, per_line_sentences,
+                     random_simple_document, rows_from_tuples)
 
 
 class TestTokenize:
@@ -129,6 +130,37 @@ class TestStandoff:
             doc = random_simple_document(rng, f"d{i}", concepts)
             reparsed = parse_standoff(write_standoff(doc), doc.text, doc.doc_id)
             assert set(reparsed.annotations) == set(doc.annotations)
+
+
+# Every str.splitlines boundary, and the tab.
+_RECORD_BREAKERS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\t"
+
+
+@st.composite
+def standoff_documents(draw):
+    text = draw(st.text(alphabet=_RECORD_BREAKERS + " ab", min_size=1,
+                        max_size=30))
+    annotations = []
+    for _ in range(draw(st.integers(0, 4))):
+        cuts = sorted(draw(st.sets(st.integers(0, len(text)), min_size=2,
+                                   max_size=6)))
+        spans = [TextSpan(s, e) for s, e in zip(cuts[::2], cuts[1::2])]
+        annotations.append(Annotation("X:1", tuple(spans)))
+    return Document("d", text, tuple(annotations))
+
+
+@given(standoff_documents())
+def test_written_records_parse_back(doc):
+    with collect_warnings(formats_logger) as messages:
+        reparsed = parse_standoff(write_standoff(doc), doc.text, doc.doc_id)
+    assert reparsed.annotations == doc.annotations
+    assert messages == []
+
+
+def test_every_line_boundary_stays_inside_its_record():
+    text = "".join(map(chr, range(0x110000)))
+    ann = Annotation("X:1", (TextSpan(0, len(text)),))
+    assert len(write_standoff(Document("d", text, (ann,))).splitlines()) == 1
 
 
 SAMPLE_CONLL = """\

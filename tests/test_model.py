@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conceptkit import Annotation, TextSpan, char_jaccard, spans_overlap
+from conceptkit import Annotation, TextSpan, char_jaccard
 
 from helpers import brute_jaccard
 
@@ -96,20 +96,3 @@ def _random_spans(rng, max_pos=40):
         spans.append(TextSpan(start, end))
         pos = end + 1
     return spans or [TextSpan(0, 1)]
-
-
-class TestSpansOverlap:
-    def test_fragment_touching(self):
-        a = Annotation("X:1", (span(0, 2), span(15, 20)))
-        b = Annotation("X:2", (span(7, 20),))
-        assert spans_overlap(a, b)
-
-    def test_disjoint(self):
-        a = Annotation("X:1", (span(0, 2),))
-        b = Annotation("X:2", (span(7, 20),))
-        assert not spans_overlap(a, b)
-
-    def test_identity(self):
-        a = Annotation("X:1", (span(0, 5),))
-        b = Annotation("X:2", (span(0, 5),))
-        assert spans_overlap(a, b)

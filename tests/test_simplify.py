@@ -1,13 +1,19 @@
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conceptkit import (Annotation, Document, TextSpan, extend_subword,
                         simplify, tokenize, unify, unnest)
 from conceptkit.simplify import UnifyStrategy, UnnestStrategy
+from conceptkit.simplify import logger as simplify_logger
 
-from helpers import random_messy_document, random_simple_document, tree_graph
+from helpers import (collect_warnings, random_messy_document,
+                     random_simple_document, reference_extend_subword,
+                     reference_unnest, tree_graph)
 
 UNIFY = list(UnifyStrategy)
 UNNEST = list(UnnestStrategy)
@@ -67,6 +73,19 @@ class TestUnnest:
         doc = Document("d", "x" * 20, (ann("X:2", (0, 5)), ann("X:1", (0, 5))))
         assert unnest(doc, strategy).annotations == (ann("X:1", (0, 5)),)
 
+    def test_exact_duplicates_keep_the_first(self):
+        first = Annotation("X:1", (TextSpan(0, 5),), "first")
+        later = Annotation("X:1", (TextSpan(0, 5),), "later")
+        doc = Document("d", "x" * 20, (first, later, first))
+        for strategy in UNNEST:
+            (kept,) = unnest(doc, strategy).annotations
+            assert kept.text == "first"
+
+    @pytest.mark.parametrize("strategy", UNNEST)
+    def test_discontinuous_input_is_an_error(self, strategy):
+        with pytest.raises(ValueError, match="unify"):
+            unnest(interlaced_doc(), strategy)
+
     def test_chain_of_overlaps_resolved_pairwise(self):
         # b overlaps a and c; keep-longer lets b evict both shorter ones
         doc = Document("d", "x" * 30, (
@@ -109,6 +128,12 @@ class TestExtendSubword:
             result = extend_subword(doc, tokens)
         assert result.annotations == ()
         assert "overlaps no token" in caplog.text
+
+
+    def test_discontinuous_input_is_an_error(self):
+        doc = interlaced_doc()
+        with pytest.raises(ValueError, match="unify"):
+            extend_subword(doc, tokenize(doc.text))
 
 
 class TestSimplify:
@@ -176,3 +201,71 @@ class TestSimplify:
                 assert a.end <= b.start
             again = simplify(result, u, n)
             assert again.annotations == result.annotations
+
+    def test_article_sized_document_is_fast(self):
+        # about one CRAFT article: 1600 lines, 9,644 tokens, 3,158 mentions
+        doc = random_messy_document(random.Random(5), "big",
+                                    sorted(tree_graph()), n_lines=1600)
+        start = time.perf_counter()
+        result = simplify(doc, UnifyStrategy.FULL_SPAN, UnnestStrategy.KEEP_LONGER)
+        assert time.perf_counter() - start < 2.0
+        assert len(result.annotations) > 1000
+
+
+# Text pieces: words, punctuation, runs of whitespace, CRLF and BOM.
+_PIECES = ["ab", "x", "\u03b1", "-", ".", " ", "   ", "\t", "\n", "\r\n",
+           "\ufeff"]
+
+
+def _named(annotations):
+    """Give every annotation its own text, so the survivor of exact
+    duplicates shows."""
+    return tuple(Annotation(a.concept_id, a.spans, f"t{i}")
+                 for i, a in enumerate(annotations))
+
+
+@st.composite
+def single_span_documents(draw):
+    """Short texts over `_PIECES` with small overlapping spans: length
+    ties, equal starts, exact duplicates and all-whitespace spans."""
+    text = "".join(draw(st.lists(st.sampled_from(_PIECES), min_size=1,
+                                 max_size=20)))
+    annotations = []
+    for _ in range(draw(st.integers(0, 8))):
+        start = draw(st.integers(0, len(text) - 1))
+        end = draw(st.integers(start + 1, min(len(text), start + 8)))
+        concept = draw(st.sampled_from(["X:1", "X:2", "X:3"]))
+        annotations.append(Annotation(concept, (TextSpan(start, end),)))
+    if annotations:
+        for i in draw(st.lists(st.integers(0, len(annotations) - 1),
+                               max_size=3)):
+            annotations.append(annotations[i])
+    return Document("d", text, _named(annotations))
+
+
+@st.composite
+def unified_messy_documents(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    doc = random_messy_document(rng, "m", sorted(tree_graph()),
+                                n_lines=draw(st.integers(1, 6)))
+    strategy = draw(st.sampled_from(UNIFY))
+    return Document(doc.doc_id, doc.text,
+                    _named(unify(a, strategy) for a in doc.annotations))
+
+
+def _labelled(doc):
+    return [(a, a.text) for a in doc.annotations]
+
+
+@given(st.one_of(single_span_documents(), unified_messy_documents()))
+def test_matches_the_all_pairs_reference(doc):
+    tokens = tokenize(doc.text)
+    with collect_warnings(simplify_logger) as messages:
+        extended = extend_subword(doc, tokens)
+    want = reference_extend_subword(doc, tokens)
+    assert _labelled(extended) == _labelled(want)
+    assert len(messages) == len(doc.annotations) - len(want.annotations)
+    for strategy in UNNEST:
+        for stage in (doc, extended):
+            assert (_labelled(unnest(stage, strategy))
+                    == _labelled(reference_unnest(stage, strategy)))
