@@ -17,7 +17,6 @@ from . import codec, dicttag, evaluate, formats, harmonise, tuning
 from .errors import ConceptKitError, ParseError
 from .formats import (iter_sentences, read_conll_dir, read_predictions_dir,
                       read_standoff_dir, read_text)
-from .model import Document
 from .ontology import DEFAULT_DECAY, parse_obo
 from .simplify import UnifyStrategy, UnnestStrategy
 
@@ -104,13 +103,12 @@ def cmd_dict_tag(args) -> int:
     graph = _load_ontology(args.ontology)
     extra = []
     if args.synonyms:
-        try:
-            extra = dicttag.read_synonyms(read_text(Path(args.synonyms)))
-        except ValueError as exc:
-            raise ConceptKitError(str(exc)) from None
+        extra = dicttag.read_synonyms(read_text(Path(args.synonyms)),
+                                      source=args.synonyms)
     stopwords = dicttag.DEFAULT_STOPWORDS
     if args.stopwords:
-        stopwords = frozenset(read_text(Path(args.stopwords)).split())
+        # the lookup lower-cases each token before testing it
+        stopwords = frozenset(read_text(Path(args.stopwords)).lower().split())
     index = dicttag.build_index(graph, extra)
     logger.info("index holds %d term entries", len(index))
     out = {doc_id: formats.write_conll(dicttag.tag_rows(sentences, index, stopwords))
@@ -124,10 +122,8 @@ def cmd_harmonise(args) -> int:
     out = {}
     for doc_id, sentences in corpus.items():
         annotations = harmonise.harmonise_document(sentences, args.strategy)
-        text = _original_text(args, doc_id)
-        if text is None:
-            text = codec.surrogate_text(sentences)
-        doc = Document(doc_id, text, tuple(annotations))
+        doc = codec.annotated_document(doc_id, sentences, annotations,
+                                       _original_text(args, doc_id))
         out[doc_id] = formats.write_standoff(doc)
     _write_outputs(args.output, out, ".ann")
     return 0
@@ -161,10 +157,7 @@ def cmd_tune(args) -> int:
     graph = _load_ontology(args.ontology)
     gold = {doc_id: list(doc.annotations) for doc_id, doc in gold_docs.items()}
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    try:
-        plan = tuning.make_folds(sorted(gold), args.folds, args.seed)
-    except ValueError as exc:
-        raise ConceptKitError(str(exc)) from None
+    plan = tuning.make_folds(sorted(gold), args.folds, args.seed)
     table = tuning.grid_search(gold, predictions, strategies, plan, graph,
                                decay=args.wang_decay, jobs=args.jobs)
 
@@ -191,7 +184,7 @@ def cmd_baseline_train(args) -> int:
 def cmd_baseline_tag(args) -> int:
     try:
         tagger = tuning.LexiconTagger.from_json(read_text(Path(args.lexicon)))
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConceptKitError(f"bad lexicon file {args.lexicon}: {exc}") from None
     out = {doc_id: formats.write_conll(tagger.tag_rows(sentences))
            for doc_id, sentences in iter_sentences(args.input)}
@@ -273,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synonyms", metavar="FILE",
                    help="extra 'term<TAB>CURIE' lines")
     p.add_argument("--stopwords", metavar="FILE",
-                   help="whitespace-separated stopword list")
+                   help="whitespace-separated stopword list, any case")
 
     p = command("harmonise", cmd_harmonise, [text_dir], "merge prediction streams")
     p.add_argument("input", help="directory with .conll prediction files")

@@ -78,37 +78,36 @@ def encode(doc: Document, tokens: list[tuple[str, TextSpan]]) -> list[ConllRow]:
     ]
 
 
-def majority_id(candidates: list[str]) -> str | None:
-    """Most frequent candidate; ties go to the lexicographically lowest."""
-    if not candidates:
-        return None
-    counts = Counter(candidates)
-    return min(counts, key=lambda c: (-counts[c], c))
+def block_concept(block: list[ConllRow], id_source: str = "id_tag") -> str | None:
+    """Most frequent non-NIL ID tag ("id_tag") or dictionary feature
+    ("dict") of an entity block, the lowest CURIE on ties; None if none."""
+    if id_source == "id_tag":
+        counts = Counter(r.id_tag for r in block if r.id_tag != NIL)
+    else:
+        counts = Counter(f for r in block for f in r.dict_features)
+    return min(counts, key=lambda c: (-counts[c], c), default=None)
+
+
+def block_annotation(concept: str, rows: list[ConllRow], first: int,
+                     last: int) -> Annotation:
+    """Single-span annotation of concept over rows[first..last]."""
+    return Annotation(concept, (TextSpan(rows[first].span.start,
+                                         rows[last].span.end),))
 
 
 def decode_iobes(rows: list[ConllRow], id_source: str = "id_tag") -> list[Annotation]:
     """Decode one sentence of rows into annotations.
 
-    id_source selects where each entity's concept comes from:
-    "id_tag" takes the majority ID over the block's non-NIL ID tags,
-    "dict" the majority dictionary feature. Blocks with no usable
-    concept are skipped. Ties go to the lexicographically lowest ID.
+    id_source selects the block_concept rule; blocks with no concept
+    are skipped.
     """
     if id_source not in ("id_tag", "dict"):
         raise ValueError(f"unknown id_source {id_source!r}")
     annotations = []
-    tags = [row.span_tag for row in rows]
-    for first, last in iter_blocks(tags):
-        block = rows[first:last + 1]
-        if id_source == "id_tag":
-            chosen = majority_id([r.id_tag for r in block if r.id_tag != NIL])
-        else:
-            chosen = majority_id([f for r in block for f in r.dict_features])
-        if chosen is None:
-            continue
-        span = TextSpan(block[0].span.start, block[-1].span.end)
-        text = " ".join(r.token for r in block)
-        annotations.append(Annotation(chosen, (span,), text))
+    for first, last in iter_blocks([row.span_tag for row in rows]):
+        concept = block_concept(rows[first:last + 1], id_source)
+        if concept is not None:
+            annotations.append(block_annotation(concept, rows, first, last))
     return annotations
 
 
@@ -144,16 +143,18 @@ def surrogate_text(sentences: list[list[ConllRow]]) -> str:
 
 def conll_to_document(doc_id: str, sentences: list[list[ConllRow]],
                       id_source: str = "id_tag", text: str | None = None) -> Document:
-    """Decode sentences back into a document.
+    """Decode sentences back into a document (see annotated_document)."""
+    return annotated_document(doc_id, sentences, [
+        ann for rows in sentences for ann in decode_iobes(rows, id_source)], text)
 
-    When the original text is not supplied, the surrogate_text of the
-    sentences stands in for it.
-    """
+
+def annotated_document(doc_id: str, sentences: list[list[ConllRow]],
+                       annotations: list[Annotation],
+                       text: str | None = None) -> Document:
+    """Document of annotations decoded from sentences; the sentences'
+    surrogate_text stands in for the original text when none is given."""
     if text is None:
         text = surrogate_text(sentences)
-    annotations = []
-    for rows in sentences:
-        annotations.extend(decode_iobes(rows, id_source))
     return Document(doc_id, text, tuple(annotations))
 
 

@@ -13,6 +13,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 
+from .errors import ParseError
 from .model import ConllRow, TextSpan
 from .ontology import OntologyGraph
 
@@ -176,14 +177,15 @@ def tag_rows(sentences: list[list[ConllRow]], index: TermIndex,
     return tagged
 
 
-def read_synonyms(text: str) -> list[tuple[str, str]]:
-    """Parse an extra-synonyms file: one 'term<TAB>CURIE' pair per line."""
+def read_synonyms(text: str, source: str = "") -> list[tuple[str, str]]:
+    """Parse an extra-synonyms file: one 'term<TAB>CURIE' pair per line.
+    A malformed line raises ParseError naming `source` and the line."""
     pairs = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         term, sep, curie = line.partition("\t")
         if not sep or not term.strip() or not curie.strip():
-            raise ValueError(f"bad synonym line {line!r}")
+            raise ParseError("expected 'term<TAB>CURIE'", line=lineno, source=source)
         pairs.append((term.strip(), curie.strip()))
     return pairs

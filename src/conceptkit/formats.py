@@ -1,7 +1,8 @@
 """Stand-off and CoNLL file formats, corpus directories of them, plus
 the reference tokenizer.
 
-Stand-off (.ann), one record per line, tab-separated:
+Stand-off (.ann), one record per line, tab-separated; as in brat, only
+LF, CR LF and CR end a line:
 
     T1<TAB>CHEBI:33893 0 5<TAB>agent
 
@@ -78,9 +79,10 @@ def parse_standoff(ann_text: str, doc_text: str, doc_id: str = "",
     """
     if source is None:
         source = doc_id
+    bare = Document(doc_id, doc_text)
     annotations = []
     seen_ids = set()
-    for lineno, line in enumerate(ann_text.splitlines(), start=1):
+    for lineno, line in enumerate(re.split(r"\r\n?|\n", ann_text), start=1):
         if not line.strip():
             continue
         fields = line.split("\t", 2)
@@ -116,10 +118,10 @@ def parse_standoff(ann_text: str, doc_text: str, doc_id: str = "",
                     line=lineno, source=source)
             spans.append(TextSpan(start, end))
         try:
-            ann = Annotation(concept, tuple(spans), recorded_text)
+            ann = Annotation(concept, tuple(spans))
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno, source=source) from None
-        covered = " ... ".join(doc_text[s.start:s.end] for s in ann.spans)
+        covered = bare.covered_text(ann)
         if recorded_text and _normalise_ws(recorded_text) != _normalise_ws(covered):
             logger.warning(
                 "%s:%d: text mismatch for %s: recorded %r, covered %r",

@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .codec import iter_blocks
-from .model import NIL, Annotation, ConllRow, SpanTag, TextSpan
+from .codec import block_annotation, iter_blocks
+from .model import NIL, Annotation, ConllRow, SpanTag
 
 #: Span tag standing in for "relevant" on tokens labelled by the ID
 #: tagger; harmonise_document groups them into mentions by concept.
@@ -133,10 +133,6 @@ def harmonise_document(sentences: list[list[ConllRow]],
     dict_features. Entities never cross sentence boundaries.
     """
     strategy = HarmonisationStrategy(strategy)
-    annotations = []
-    for rows in sentences:
-        for first, last, concept in _sentence_entities(rows, strategy):
-            span = TextSpan(rows[first].span.start, rows[last].span.end)
-            text = " ".join(r.token for r in rows[first:last + 1])
-            annotations.append(Annotation(concept, (span,), text))
-    return annotations
+    return [block_annotation(concept, rows, first, last)
+            for rows in sentences
+            for first, last, concept in _sentence_entities(rows, strategy)]

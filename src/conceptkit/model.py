@@ -7,7 +7,7 @@ and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -50,14 +50,12 @@ class Annotation:
     """One concept mention: a CURIE plus one or more character spans.
 
     More than one span marks a discontinuous mention. Spans are kept
-    sorted and must not overlap each other. Identity (equality, hashing,
-    ordering) is defined by (spans, concept_id); the covered text is
-    informative only.
+    sorted and must not overlap each other. The mention's text is
+    `Document.covered_text(ann)`.
     """
 
     concept_id: str
     spans: tuple[TextSpan, ...]
-    text: str = field(default="", compare=False)
 
     def __post_init__(self):
         if not self.concept_id or self.concept_id == NIL:

@@ -48,7 +48,7 @@ def unify(ann: Annotation, strategy: UnifyStrategy) -> Annotation:
         span = ann.spans[-1]
     else:
         span = TextSpan(ann.spans[0].start, ann.spans[-1].end)
-    return Annotation(ann.concept_id, (span,), ann.text)
+    return Annotation(ann.concept_id, (span,))
 
 
 def _single_span(doc: Document, ann: Annotation) -> None:
@@ -75,7 +75,7 @@ def extend_subword(doc: Document, tokens: list[tuple[str, TextSpan]]) -> Documen
                            doc.doc_id, ann.concept_id, ann.spans)
             continue
         span = TextSpan(starts[first], ends[last])
-        result.append(Annotation(ann.concept_id, (span,), ann.text))
+        result.append(Annotation(ann.concept_id, (span,)))
     return Document(doc.doc_id, doc.text, tuple(result))
 
 

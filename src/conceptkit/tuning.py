@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 
-from .codec import block_tags, iter_blocks, majority_id
+from .codec import block_concept, block_tags, iter_blocks
 from .dicttag import longest_leftmost, normalize_term
 from .errors import ConceptKitError
 from .evaluate import EvalCounts, fscore, score_document, slot_error_rate
@@ -166,7 +166,7 @@ class LexiconTagger:
                 tags = [r.span_tag for r in rows]
                 for first, last in iter_blocks(tags):
                     block = rows[first:last + 1]
-                    concept = majority_id([r.id_tag for r in block if r.id_tag != NIL])
+                    concept = block_concept(block)
                     if concept is None:
                         continue
                     key = tuple(t for r in block for t in normalize_term(r.token))

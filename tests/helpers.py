@@ -179,7 +179,7 @@ def reference_extend_subword(doc: Document, tokens) -> Document:
             else:
                 fragments.append(snapped)
         if fragments:
-            result.append(Annotation(ann.concept_id, tuple(fragments), ann.text))
+            result.append(Annotation(ann.concept_id, tuple(fragments)))
     return Document(doc.doc_id, doc.text, tuple(result))
 
 

@@ -184,6 +184,26 @@ class TestDictTagAndBaseline:
             "--ontology", corpus / "onto.obo", "--synonyms", syn)
         assert "TR:0009" in (out / "doc1.conll").read_text()
 
+    def test_malformed_synonym_line_names_file_and_line(self, corpus, capsys):
+        syn = corpus / "extra.tsv"
+        syn.write_text("plain words\tTR:0009\nno tab here\n")
+        assert run("dict-tag", corpus / "gold", corpus / "out",
+                   "--ontology", corpus / "onto.obo", "--synonyms", syn) == 1
+        assert capsys.readouterr().err == (
+            f"conceptkit: error: {syn}:line 2: "
+            "expected 'term<TAB>CURIE'\n")
+
+    def test_capitalised_stopwords_suppress_matches(self, corpus):
+        syn = corpus / "extra.tsv"
+        syn.write_text("plain\tTR:0009\n")
+        stopwords = corpus / "stopwords.txt"
+        stopwords.write_text("The\nPLAIN\n")
+        out = corpus / "tagged"
+        assert run("dict-tag", corpus / "gold", out, "--ontology",
+                   corpus / "onto.obo", "--synonyms", syn,
+                   "--stopwords", stopwords) == 0
+        assert "TR:0009" not in (out / "doc1.conll").read_text()
+
     def test_baseline_train_and_tag(self, corpus):
         conll = corpus / "conll"
         run("convert", corpus / "gold", conll)
@@ -194,6 +214,18 @@ class TestDictTagAndBaseline:
         out = corpus / "baseline"
         assert run("baseline-tag", conll, out, "--lexicon", lexicon) == 0
         assert "TR:0001" in (out / "doc1.conll").read_text()
+
+
+    @pytest.mark.parametrize("payload", ["[]", '{"entries": 5}',
+                                         '{"entries": [5]}'])
+    def test_lexicon_of_the_wrong_shape_is_an_error(self, corpus, capsys,
+                                                    payload):
+        lexicon = corpus / "lexicon.json"
+        lexicon.write_text(payload)
+        assert run("baseline-tag", corpus / "gold", corpus / "out",
+                   "--lexicon", lexicon) == 1
+        assert capsys.readouterr().err.startswith(
+            f"conceptkit: error: bad lexicon file {lexicon}: ")
 
 
 class TestHarmoniseEvaluate:
@@ -217,6 +249,12 @@ class TestHarmoniseEvaluate:
         cells = lines[-1].split("\t")
         assert float(cells[8]) == 1.0
         assert float(cells[9]) == 0.0
+
+    def test_harmonise_without_text_dir_writes_surrogate_text(self, corpus):
+        enriched = self._pipeline(corpus)
+        pred = corpus / "pred"
+        assert run("harmonise", enriched, pred, "--strategy", "ids-only") == 0
+        assert (pred / "doc2.ann").read_text() == DOC2_ANN
 
     def test_evaluate_unseen_only(self, corpus, capsys):
         enriched = self._pipeline(corpus)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conceptkit import (NIL, LexiconTagger, OntologyGraph, build_index,
-                        normalize_term, parse_obo, tag, tokenize)
+from conceptkit import (NIL, LexiconTagger, OntologyGraph, ParseError,
+                        build_index, normalize_term, parse_obo, tag, tokenize)
 from conceptkit.codec import iter_blocks
 from conceptkit.dicttag import TermIndex, read_synonyms, tag_rows
 from conceptkit.ontology import Concept
@@ -215,8 +215,14 @@ class TestReadSynonyms:
         assert pairs == [("ES cell", "CL:1"), ("kinase", "PR:1")]
 
     def test_malformed(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match="^line 1: expected 'term<TAB>CURIE'"):
             read_synonyms("no tab here\n")
+
+    def test_malformed_line_names_file_and_line(self):
+        with pytest.raises(ParseError, match="^extra.tsv:line 3: ") as info:
+            read_synonyms("# comment\nES cell\tCL:1\nkinase PR:1\n",
+                          source="extra.tsv")
+        assert (info.value.source, info.value.line) == ("extra.tsv", 3)
 
 
 #: Whitespace that NFKC maps to a space or keeps (tab, no-break space,

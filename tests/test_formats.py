@@ -75,7 +75,7 @@ class TestStandoff:
     def test_single_span(self):
         doc = parse_standoff("T1\tCHEBI:33893 0 5\tagent\n", "agent of change")
         assert doc.annotations == (
-            Annotation("CHEBI:33893", (TextSpan(0, 5),), "agent"),)
+            Annotation("CHEBI:33893", (TextSpan(0, 5),)),)
 
     def test_discontinuous(self):
         doc = parse_standoff("T2\tCL:0002322 0 2;15 20\tES ... cells\n",
@@ -108,6 +108,16 @@ class TestStandoff:
         assert len(doc.annotations) == 1
         assert doc.doc_id == "doc"
         assert "gold/doc.ann:1: text mismatch" in caplog.text
+
+    # str.splitlines ends a line at each of these, brat at none of them
+    @pytest.mark.parametrize("breaker",
+                             list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_record_ends_only_at_newline_or_carriage_return(self, breaker):
+        ann_text = (f"T1\tX:1 0 4\tab{breaker}c\n"
+                    "T2\tX:2 0 2\tab\rT3\tX:3 3 4\tc\r\n")
+        doc = parse_standoff(ann_text, f"ab{breaker}c")
+        assert [a.concept_id for a in doc.annotations] == ["X:1", "X:2", "X:3"]
+        assert doc.covered_text(doc.annotations[0]) == f"ab{breaker}c"
 
     def test_non_textbound_lines_skipped(self):
         doc = parse_standoff("#1\tnote\nT1\tX:1 0 5\tagent\n", "agent")

@@ -33,12 +33,6 @@ class TestAnnotation:
         with pytest.raises(ValueError):
             Annotation("X:1", ())
 
-    def test_identity_ignores_text(self):
-        a = Annotation("X:1", (span(0, 2),), "foo")
-        b = Annotation("X:1", (span(0, 2),), "bar")
-        assert a == b
-        assert len({a, b}) == 1
-
     def test_discontinuous_flag_and_length(self):
         ann = Annotation("X:1", (span(0, 2), span(15, 20)))
         assert ann.discontinuous
