@@ -16,7 +16,7 @@ from pathlib import Path
 from . import codec, dicttag, evaluate, formats, harmonise, tuning
 from .errors import ConceptKitError, ParseError
 from .formats import (iter_sentences, read_conll_dir, read_predictions_dir,
-                      read_standoff_dir, read_text)
+                      read_standoff_dir, read_text, split_lines)
 from .ontology import DEFAULT_DECAY, parse_obo
 from .simplify import UnifyStrategy, UnnestStrategy
 
@@ -130,7 +130,7 @@ def cmd_harmonise(args) -> int:
 
 
 def _read_train_labels(path: str) -> set[str]:
-    return {line.strip() for line in read_text(Path(path)).splitlines()
+    return {line.strip() for line in split_lines(read_text(Path(path)))
             if line.strip()}
 
 
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_tokens(path: str) -> list[str]:
     """Turn key=value lines into command-line tokens."""
     tokens = []
-    for lineno, line in enumerate(read_text(Path(path)).splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(read_text(Path(path))), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

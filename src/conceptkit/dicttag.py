@@ -14,6 +14,7 @@ import unicodedata
 from dataclasses import dataclass, field
 
 from .errors import ParseError
+from .formats import split_lines
 from .model import ConllRow, TextSpan
 from .ontology import OntologyGraph
 
@@ -181,7 +182,7 @@ def read_synonyms(text: str, source: str = "") -> list[tuple[str, str]]:
     """Parse an extra-synonyms file: one 'term<TAB>CURIE' pair per line.
     A malformed line raises ParseError naming `source` and the line."""
     pairs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         term, sep, curie = line.partition("\t")

@@ -63,6 +63,13 @@ def tokenize_sentences(text: str) -> list[list[tuple[str, TextSpan]]]:
     return sentences
 
 
+def split_lines(text: str) -> list[str]:
+    """Lines of a record file. As in brat, only LF, CR LF and CR end a
+    line; str.splitlines() would also split at form feeds, U+0085 and
+    U+2028, which a term or text field may hold."""
+    return re.split(r"\r\n?|\n", text)
+
+
 def _normalise_ws(s: str) -> str:
     return " ".join(s.split())
 
@@ -82,7 +89,7 @@ def parse_standoff(ann_text: str, doc_text: str, doc_id: str = "",
     bare = Document(doc_id, doc_text)
     annotations = []
     seen_ids = set()
-    for lineno, line in enumerate(re.split(r"\r\n?|\n", ann_text), start=1):
+    for lineno, line in enumerate(split_lines(ann_text), start=1):
         if not line.strip():
             continue
         fields = line.split("\t", 2)

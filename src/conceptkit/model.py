@@ -7,9 +7,9 @@ and safe to share across threads.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 #: Label marking non-entity tokens in the concept-ID column.
 NIL = "NIL"

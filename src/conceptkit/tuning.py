@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 
@@ -109,6 +108,9 @@ def grid_search(gold: dict[str, list[Annotation]],
              for fold in folds for d in fold for s in strategies]
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # imported here: multiprocessing takes tens of milliseconds to
+        # load, which every other command would pay for nothing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(workers, initializer=_init_worker,
                                  initargs=(graph, decay)) as pool:
             counts = list(pool.map(_score_cell, tasks,
@@ -217,9 +219,22 @@ class LexiconTagger:
 
     @classmethod
     def from_json(cls, text: str) -> "LexiconTagger":
-        data = json.loads(text)
-        entries = {
-            tuple(e["key"]): (tuple(e["pattern"]), e["concept"])
-            for e in data["entries"]
-        }
+        """Load a `to_json` lexicon; ValueError names a malformed entry."""
+        entries = {}
+        for i, e in enumerate(json.loads(text)["entries"]):
+            key, pattern, concept = e["key"], e["pattern"], e["concept"]
+            if not _string_list(key):
+                raise ValueError(
+                    f"entry {i}: key must be a non-empty list of strings")
+            if not _string_list(pattern) or not set(pattern) <= set("BIES"):
+                raise ValueError(
+                    f"entry {i}: pattern must be a non-empty list of B, I, E or S")
+            if not isinstance(concept, str):
+                raise ValueError(f"entry {i}: concept must be a string")
+            entries[tuple(key)] = (tuple(pattern), concept)
         return cls(entries)
+
+
+def _string_list(value) -> bool:
+    return (isinstance(value, list) and bool(value)
+            and all(isinstance(v, str) for v in value))

@@ -1,11 +1,14 @@
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conceptkit.cli import main
+import conceptkit
+from conceptkit.cli import _config_tokens, _read_train_labels, main
 from conceptkit.formats import tokenize
 
 from helpers import tree_obo
@@ -216,8 +219,11 @@ class TestDictTagAndBaseline:
         assert "TR:0001" in (out / "doc1.conll").read_text()
 
 
-    @pytest.mark.parametrize("payload", ["[]", '{"entries": 5}',
-                                         '{"entries": [5]}'])
+    @pytest.mark.parametrize("payload", [
+        "[]", '{"entries": 5}', '{"entries": [5]}',
+        '{"entries": [{"key": "ab", "pattern": ["S"], "concept": "X:1"}]}',
+        '{"entries": [{"key": ["ab"], "pattern": ["S"], "concept": 5}]}',
+        '{"entries": [{"key": ["ab"], "pattern": ["X"], "concept": "X:1"}]}'])
     def test_lexicon_of_the_wrong_shape_is_an_error(self, corpus, capsys,
                                                     payload):
         lexicon = corpus / "lexicon.json"
@@ -296,6 +302,13 @@ class TestHarmoniseEvaluate:
         assert run("evaluate", corpus / "gold", corpus / "gold",
                    "--ontology", corpus / "onto.obo", "--unseen-only") == 1
         assert "train-labels" in capsys.readouterr().err
+
+    # str.splitlines would split a label at U+0085 or a form feed
+    def test_labels_file_lines_end_only_at_newline_or_carriage_return(
+            self, tmp_path):
+        labels = tmp_path / "labels.txt"
+        labels.write_bytes("X:1\x85a\r\nX:2\x0cb\rX:3\n".encode())
+        assert _read_train_labels(labels) == {"X:1\x85a", "X:2\x0cb", "X:3"}
 
     def test_labels_require_unseen(self, corpus, capsys):
         labels = corpus / "train-labels.txt"
@@ -391,11 +404,37 @@ class TestConfigFile:
                    "--config", corpus / "nope.cfg") == 1
         assert "config" in capsys.readouterr().err
 
+    def test_config_lines_end_only_at_newline_or_carriage_return(
+            self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("stopwords=a\u2028b.txt\r\ngrid=true\r".encode())
+        assert _config_tokens(cfg) == ["--stopwords", "a\u2028b.txt", "--grid"]
+
     def test_bad_config_line(self, corpus, capsys):
         cfg = corpus / "run.cfg"
         cfg.write_text("just nonsense\n")
         assert run("convert", corpus / "gold", corpus / "out",
                    "--config", cfg) == 1
+
+
+def test_start_up_loads_no_process_pool_or_typing():
+    """Every command pays for the modules `conceptkit.cli` imports; the
+    process pool's (multiprocessing, socket, pickle, subprocess) are
+    loaded by `tune --jobs N` with N > 1 only."""
+    env = dict(os.environ, PYTHONPATH=str(Path(conceptkit.__file__).parents[1]))
+
+    def loaded(statement):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             statement + "import sys; print(*sys.modules, sep='\\n')"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    added = loaded("import conceptkit.cli; ") - loaded("")
+    assert "conceptkit.tuning" in added
+    assert added & {"multiprocessing", "concurrent.futures.process",
+                    "typing"} == set()
 
 
 def test_every_traced_name_resolves(monkeypatch):

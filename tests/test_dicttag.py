@@ -218,6 +218,13 @@ class TestReadSynonyms:
         with pytest.raises(ParseError, match="^line 1: expected 'term<TAB>CURIE'"):
             read_synonyms("no tab here\n")
 
+    # str.splitlines ends a line at each of these, the synonyms file not
+    @pytest.mark.parametrize("breaker", list("\x0b\x0c\x85\u2028"))
+    def test_line_ends_only_at_newline_or_carriage_return(self, breaker):
+        pairs = read_synonyms(f"alpha{breaker}beta\tX:1\r\ngamma\tX:2\rdelta\tX:3")
+        assert pairs == [(f"alpha{breaker}beta", "X:1"), ("gamma", "X:2"),
+                         ("delta", "X:3")]
+
     def test_malformed_line_names_file_and_line(self):
         with pytest.raises(ParseError, match="^extra.tsv:line 3: ") as info:
             read_synonyms("# comment\nES cell\tCL:1\nkinase PR:1\n",

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -259,6 +260,19 @@ class TestLexiconTagger:
         tagger = LexiconTagger.train(TRAIN_CONLL)
         clone = LexiconTagger.from_json(tagger.to_json())
         assert clone.entries == tagger.entries
+
+    @pytest.mark.parametrize("entry, error", [
+        ({"key": "ab", "pattern": ["S"], "concept": "X:1"}, "key must be"),
+        ({"key": [], "pattern": ["S"], "concept": "X:1"}, "key must be"),
+        ({"key": ["ab"], "pattern": "S", "concept": "X:1"}, "pattern must be"),
+        ({"key": ["ab"], "pattern": ["X"], "concept": "X:1"}, "pattern must be"),
+        ({"key": ["ab"], "pattern": ["S"], "concept": 5}, "concept must be"),
+    ])
+    def test_from_json_rejects_a_wrong_entry_shape(self, entry, error):
+        good = {"key": ["a"], "pattern": ["S"], "concept": "X:1"}
+        text = json.dumps({"entries": [good, entry]})
+        with pytest.raises(ValueError, match=f"^entry 1: {error}"):
+            LexiconTagger.from_json(text)
 
     def test_empty_training(self):
         tagger = LexiconTagger.train({})
