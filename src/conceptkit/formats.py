@@ -8,7 +8,8 @@ LF, CR LF and CR end a line:
 
 The second field holds the concept CURIE followed by one or more
 "start end" fragment pairs separated by ";". Fragment texts of
-discontinuous mentions are joined with " ... " in the third field.
+discontinuous mentions are written joined with " ... " in the third
+field; brat's own single-space join is read as well.
 
 CoNLL (.conll), one token per line, six tab-separated columns:
 
@@ -129,7 +130,11 @@ def parse_standoff(ann_text: str, doc_text: str, doc_id: str = "",
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno, source=source) from None
         covered = bare.covered_text(ann)
-        if recorded_text and _normalise_ws(recorded_text) != _normalise_ws(covered):
+        recorded = _normalise_ws(recorded_text)
+        # brat joins the fragment texts of a discontinuous mention with a space
+        if recorded_text and recorded != _normalise_ws(covered) and (
+                recorded != _normalise_ws(" ".join(doc_text[s.start:s.end]
+                                                   for s in spans))):
             logger.warning(
                 "%s:%d: text mismatch for %s: recorded %r, covered %r",
                 source, lineno, ann_id, recorded_text, covered)
@@ -153,7 +158,7 @@ def parse_conll(text: str, source: str = "") -> list[list[ConllRow]]:
     sentences: list[list[ConllRow]] = []
     current: list[ConllRow] = []
     prev_end = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             if current:
                 sentences.append(current)

@@ -64,18 +64,18 @@ class StrategyResult:
     fold_counts: tuple[EvalCounts, ...]
 
 
-_worker_context = None  # (graph, decay), set in each worker by _init_worker
+_worker_context = None  # (tasks, graph, decay), set in each worker by _init_worker
 
 
-def _init_worker(graph: OntologyGraph, decay: float) -> None:
+def _init_worker(tasks: list, graph: OntologyGraph, decay: float) -> None:
     global _worker_context
-    _worker_context = (graph, decay)
+    _worker_context = (tasks, graph, decay)
 
 
-def _score_cell(task, context=None) -> EvalCounts:
-    """Counts of one strategy on one document; workers omit `context`."""
-    strategy, rows, refs = task
-    graph, decay = context or _worker_context
+def _score_cell(i: int, context=None) -> EvalCounts:
+    """Counts of task i, one strategy on one document; workers omit `context`."""
+    tasks, graph, decay = context or _worker_context
+    strategy, rows, refs = tasks[i]
     return score_document(harmonise_document(rows, strategy), refs, graph, decay)
 
 
@@ -102,21 +102,21 @@ def grid_search(gold: dict[str, list[Annotation]],
     if not strategies:
         raise ConceptKitError("no strategies to compare")
     folds = [plan.fold_docs(f) for f in range(plan.k)]
-    # A document's strategies sit next to each other, so a chunk of
-    # tasks pickles its rows and references once.
     tasks = [(s, predictions[d], gold[d])
              for fold in folds for d in fold for s in strategies]
+    context = (tasks, graph, decay)
     workers = min(jobs, len(tasks))
     if workers > 1:
         # imported here: multiprocessing takes tens of milliseconds to
         # load, which every other command would pay for nothing
         from concurrent.futures import ProcessPoolExecutor
+        # workers get the tasks once, at start; calls carry only indexes
         with ProcessPoolExecutor(workers, initializer=_init_worker,
-                                 initargs=(graph, decay)) as pool:
-            counts = list(pool.map(_score_cell, tasks,
+                                 initargs=context) as pool:
+            counts = list(pool.map(_score_cell, range(len(tasks)),
                                    chunksize=-(-len(tasks) // (4 * workers))))
     else:
-        counts = [_score_cell(task, (graph, decay)) for task in tasks]
+        counts = [_score_cell(i, context) for i in range(len(tasks))]
     results = []
     for i, strategy in enumerate(strategies):
         doc_counts = iter(counts[i::len(strategies)])

@@ -101,6 +101,15 @@ class TestStandoff:
         with pytest.raises(ParseError, match="duplicate"):
             parse_standoff(text, "good text")
 
+    def test_brat_space_joined_discontinuous_text(self, caplog):
+        """brat writes a discontinuous mention's fragment texts joined
+        with one space (https://brat.nlplab.org/standoff.html)."""
+        with caplog.at_level("WARNING"):
+            doc = parse_standoff("T1\tLocation 0 5;16 23\tNorth America\n",
+                                 "North and South America")
+        assert doc.annotations[0].spans == (TextSpan(0, 5), TextSpan(16, 23))
+        assert caplog.text == ""
+
     def test_text_mismatch_keeps_annotation(self, caplog):
         with caplog.at_level("WARNING"):
             doc = parse_standoff("T1\tX:1 0 5\twrong\n", "agent of change",
@@ -206,6 +215,12 @@ class TestConll:
     def test_non_monotonic_offsets(self):
         text = "x\t0\t5\tO\tNIL\t-\ny\t3\t8\tO\tNIL\t-\n"
         with pytest.raises(ParseError, match="monotonic"):
+            parse_conll(text)
+
+    # str.splitlines would end a line at the form feed too
+    def test_line_numbers_count_only_newline_and_carriage_return(self):
+        text = "a\t0\t1\tO\tNIL\t-\n\f\nb\t2\t1\tO\tNIL\t-\n"
+        with pytest.raises(ParseError, match="line 3: empty or inverted"):
             parse_conll(text)
 
     def test_empty_input(self):

@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -72,15 +74,16 @@ def mixed_corpus(n_docs):
     return gold, predictions
 
 
-SPAWN_SCRIPT = """
+START_METHOD_SCRIPT = """
 import multiprocessing
+import sys
 
 from conceptkit import grid_search, make_folds
 from conceptkit.tuning import STRATEGY_ORDER
 from helpers import id_favouring_corpus, tree_graph
 
 if __name__ == "__main__":
-    multiprocessing.set_start_method("spawn")
+    multiprocessing.set_start_method(sys.argv[1])
     gold, predictions = id_favouring_corpus(20)
     plan = make_folds(sorted(gold), 4, seed=2)
     graph = tree_graph()
@@ -185,13 +188,36 @@ class TestGridSearch:
         assert grid_search(gold, predictions, strategies, plan, graph,
                            jobs=2) == serial
 
-    def test_parallel_under_spawn(self, tmp_path):
-        """Workers that start from a fresh import still get the graph."""
-        script = tmp_path / "spawn_grid.py"
-        script.write_text(SPAWN_SCRIPT)
+    def test_workers_receive_only_task_indexes(self, graph, monkeypatch):
+        """The workers get the corpus once, from their initializer, so
+        the mapped calls carry task indexes and no rows or references."""
+        sent = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                iterables = [list(it) for it in iterables]
+                sent.extend(x for it in iterables for x in it)
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        gold, predictions = mixed_corpus(10)
+        plan = make_folds(sorted(gold), 5, seed=1)
+        serial = grid_search(gold, predictions, STRATEGY_ORDER, plan, graph)
+        assert grid_search(gold, predictions, STRATEGY_ORDER, plan, graph,
+                           jobs=2) == serial
+        assert len(sent) == len(gold) * len(STRATEGY_ORDER)
+        assert all(type(x) is int for x in sent)
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_parallel_under_start_method(self, tmp_path, method):
+        """Workers get the tasks and the graph whether they are forked or
+        start from a fresh import (spawn, forkserver)."""
+        script = tmp_path / "start_method_grid.py"
+        script.write_text(START_METHOD_SCRIPT)
         paths = [Path(conceptkit.__file__).parents[1], Path(__file__).parent]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
-        proc = subprocess.run([sys.executable, str(script)], env=env,
+        proc = subprocess.run([sys.executable, str(script), method], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
