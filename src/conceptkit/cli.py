@@ -108,7 +108,8 @@ def cmd_dict_tag(args) -> int:
     stopwords = dicttag.DEFAULT_STOPWORDS
     if args.stopwords:
         # the lookup lower-cases each token before testing it
-        stopwords = frozenset(read_text(Path(args.stopwords)).lower().split())
+        lines = split_lines(read_text(Path(args.stopwords)))
+        stopwords = frozenset(w for line in lines for w in line.lower().split())
     index = dicttag.build_index(graph, extra)
     logger.info("index holds %d term entries", len(index))
     out = {doc_id: formats.write_conll(dicttag.tag_rows(sentences, index, stopwords))

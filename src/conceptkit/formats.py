@@ -53,22 +53,37 @@ def tokenize(text: str) -> list[tuple[str, TextSpan]]:
 
 
 def tokenize_sentences(text: str) -> list[list[tuple[str, TextSpan]]]:
-    """Tokenize and group tokens into one block per non-empty text line."""
+    """Tokenize and group tokens into one block per non-empty text line;
+    lines end as `split_lines` ends them."""
     sentences = []
     prev_end = 0
     for token in tokenize(text):
-        if not sentences or text.find("\n", prev_end, token[1].start) != -1:
+        if (not sentences or text.find("\n", prev_end, token[1].start) != -1
+                or text.find("\r", prev_end, token[1].start) != -1):
             sentences.append([])
         sentences[-1].append(token)
         prev_end = token[1].end
     return sentences
 
 
-def split_lines(text: str) -> list[str]:
-    """Lines of a record file. As in brat, only LF, CR LF and CR end a
-    line; str.splitlines() would also split at form feeds, U+0085 and
-    U+2028, which a term or text field may hold."""
-    return re.split(r"\r\n?|\n", text)
+def split_lines(text: str, block: int = 1 << 16):
+    """Yield the lines of a text file after a leading byte order mark.
+    As in brat, only LF, CR LF and CR end a line, not the form feed,
+    U+0085 or U+2028 that str.splitlines() also splits at. Each block
+    of about `block` characters ends just after a LF, so it never
+    separates a CR LF, and a file never exists twice as line strings."""
+    start = 1 if text.startswith("\ufeff") else 0
+    rest = ""
+    while start < len(text):
+        cut = text.find("\n", start + block - 1) + 1 or len(text)
+        chunk = text[start:cut]
+        if "\r" in chunk:
+            chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
+        lines = chunk.split("\n")
+        rest = lines.pop()
+        yield from lines
+        start = cut
+    yield rest
 
 
 def _normalise_ws(s: str) -> str:

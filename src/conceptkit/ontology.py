@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 
 from .errors import ParseError
+from .formats import split_lines
 
 logger = logging.getLogger(__name__)
 
@@ -27,8 +28,18 @@ DEFAULT_DECAY = 0.8
 # linear time.
 _SYNONYM_RE = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"')
 
-#: Characters per block when `parse_obo` splits its input into lines.
-_BLOCK = 1 << 16
+# A value's text before its comment, which starts at an unescaped "!".
+_BEFORE_COMMENT_RE = re.compile(r"[^!\\]*(?:\\.?[^!\\]*)*")
+
+# The OBO 1.4 escapes; a backslash before any other character is kept.
+_ESCAPE_RE = re.compile(r'\\([nWt:,"\\()\[\]{}!])')
+_ESCAPED = {"n": "\n", "W": " ", "t": "\t"}
+
+
+def _unescape(value: str) -> str:
+    if "\\" not in value:
+        return value
+    return _ESCAPE_RE.sub(lambda m: _ESCAPED.get(m[1], m[1]), value)
 
 
 @dataclass(frozen=True)
@@ -109,20 +120,6 @@ class OntologyGraph:
         return frozenset(self.upward_depths(curie))
 
 
-def _lines(text: str, start: int = 0, block: int = _BLOCK):
-    """Yield the lines of text[start:].splitlines(), a block at a time.
-
-    Each block ends just after a "\\n", which never separates a "\\r\\n"
-    pair, so the lines are those of one splitlines() call, while only
-    about `block` characters of line strings exist at once.
-    """
-    end = len(text)
-    while start < end:
-        cut = text.find("\n", start + block - 1) + 1 or end
-        yield from text[start:cut].splitlines()
-        start = cut
-
-
 def parse_obo(text: str, source: str = "") -> OntologyGraph:
     """Parse OBO flat-format [Term] stanzas into an ontology graph.
 
@@ -130,8 +127,11 @@ def parse_obo(text: str, source: str = "") -> OntologyGraph:
     else is ignored. Obsolete terms are loaded but flagged. Dangling
     is_a targets are dropped with a warning; cycles are an error. A
     repeated id replaces the earlier stanza's concept, with a warning.
-    A leading byte order mark is ignored. Each CURIE is one string
-    object, shared by its key and every is_a edge that names it.
+    Lines end as `formats.split_lines` ends them, which also drops a
+    leading byte order mark. A comment starts at the first "!" that no
+    backslash escapes; names and synonyms decode the OBO 1.4 escapes.
+    Each CURIE is one string object, shared by its key and every is_a
+    edge that names it.
     """
     concepts: dict[str, Concept] = {}
     intern = {}.setdefault
@@ -139,9 +139,8 @@ def parse_obo(text: str, source: str = "") -> OntologyGraph:
     curie = None
     name, synonyms, parents, obsolete = "", [], [], False
     stanza_line = 0
-    lines = _lines(text, 1 if text.startswith("\ufeff") else 0)
     # the sentinel header closes the last stanza
-    for lineno, raw in enumerate(chain(lines, ("[",)), start=1):
+    for lineno, raw in enumerate(chain(split_lines(text), ("[",)), start=1):
         line = raw.strip()
         if line.startswith("["):
             if curie is not None:
@@ -165,13 +164,13 @@ def parse_obo(text: str, source: str = "") -> OntologyGraph:
             if not match:
                 raise ParseError(f"unparseable synonym {raw_value.strip()!r}",
                                  line=lineno, source=source)
-            synonyms.append(match.group(1).replace('\\"', '"'))
+            synonyms.append(_unescape(match.group(1)))
         elif key in ("id", "name", "is_a", "is_obsolete"):
-            value = raw_value.partition("!")[0].strip()
+            value = _BEFORE_COMMENT_RE.match(raw_value)[0].strip()
             if key == "id":
                 curie = intern(value, value)
             elif key == "name":
-                name = value
+                name = _unescape(value)
             elif key == "is_a":
                 if not value:
                     raise ParseError("empty is_a target", line=lineno,

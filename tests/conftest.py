@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from conceptkit import parse_obo
 
 from helpers import CHAIN_OBO, tree_graph
+
+# CI runs `pytest --hypothesis-profile=ci`: ten times the default
+# examples, which rare generated cases (escapes next to comments, line
+# ends inside values) need to show up reliably.
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture(scope="session")

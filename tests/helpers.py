@@ -275,21 +275,23 @@ def optimal_counts(preds, refs, graph, decay=0.8) -> EvalCounts:
 
 
 def per_line_sentences(text: str) -> list[list[tuple[str, TextSpan]]]:
-    """Tokens grouped by text line, each line tokenised on its own.
+    """Tokens grouped by text line, each line tokenised on its own;
+    a line ends at a LF, a CR LF or a CR.
 
     Reference for `formats.tokenize_sentences`, which tokenises the
     whole text once; the two must agree exactly.
     """
     sentences = []
     offset = 0
-    for line in text.split("\n"):
+    parts = re.split(r"(\r\n?|\n)", text)
+    for line, end in zip(parts[::2], [*parts[1::2], ""]):
         tokens = [
             (tok, TextSpan(span.start + offset, span.end + offset))
             for tok, span in tokenize(line)
         ]
         if tokens:
             sentences.append(tokens)
-        offset += len(line) + 1
+        offset += len(line) + len(end)
     return sentences
 
 
@@ -317,6 +319,39 @@ def collect_warnings(logger: logging.Logger):
         logger.setLevel(level)
 
 
+#: What each OBO 1.4 escape stands for after its backslash.
+REFERENCE_OBO_ESCAPES = {"n": "\n", "W": " ", "t": "\t",
+                         **{c: c for c in ':,"\\()[]{}!'}}
+
+
+def reference_before_comment(value: str) -> str:
+    """`value` up to its first "!" that no backslash escapes, scanned one
+    character at a time."""
+    i = 0
+    while i < len(value):
+        if value[i] == "\\":
+            i += 2
+        elif value[i] == "!":
+            return value[:i]
+        else:
+            i += 1
+    return value
+
+
+def reference_unescape(value: str) -> str:
+    """Decode the OBO 1.4 escapes one character at a time; a backslash
+    before any other character, or at the end, is kept."""
+    out = []
+    chars = iter(value)
+    for c in chars:
+        if c == "\\":
+            nxt = next(chars, "")
+            out.append(REFERENCE_OBO_ESCAPES.get(nxt, c + nxt))
+        else:
+            out.append(c)
+    return "".join(out)
+
+
 def reference_parse_obo(text: str, source: str = "") -> OntologyGraph:
     """Whole-text, dict-per-stanza OBO parser.
 
@@ -340,7 +375,7 @@ def reference_parse_obo(text: str, source: str = "") -> OntologyGraph:
             obsolete=stanza.get("obsolete", False),
         )
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
         line = raw.strip()
         if line.startswith("["):
             flush()
@@ -349,17 +384,17 @@ def reference_parse_obo(text: str, source: str = "") -> OntologyGraph:
         if stanza is None or not line or line.startswith("!"):
             continue
         key, _, raw_value = line.partition(":")
-        value = raw_value.split("!", 1)[0].strip()
+        value = reference_before_comment(raw_value).strip()
         if key == "id":
             stanza["id"] = value
         elif key == "name":
-            stanza["name"] = value
+            stanza["name"] = reference_unescape(value)
         elif key == "synonym":
             match = REFERENCE_SYNONYM_RE.search(raw_value)
             if not match:
                 raise ParseError(f"unparseable synonym {raw_value.strip()!r}",
                                  line=lineno, source=source)
-            stanza["synonyms"].append(match.group(1).replace('\\"', '"'))
+            stanza["synonyms"].append(reference_unescape(match.group(1)))
         elif key == "is_a":
             target = value.split()[0] if value else ""
             if not target:

@@ -123,6 +123,34 @@ class TestByteOrderMark:
         cells = capsys.readouterr().out.strip().splitlines()[1].split("\t")
         assert cells[8] == "1.0000"
 
+    def test_bom_before_stopwords(self, corpus):
+        syn = corpus / "extra.tsv"
+        syn.write_text("plain\tTR:0009\n")
+        stopwords = corpus / "stopwords.txt"
+        stopwords.write_text("\ufeffplain\n", encoding="utf-8")
+        out = corpus / "tagged"
+        assert run("dict-tag", corpus / "gold", out, "--ontology",
+                   corpus / "onto.obo", "--synonyms", syn,
+                   "--stopwords", stopwords) == 0
+        assert "TR:0009" not in (out / "doc1.conll").read_text()
+
+    def test_bom_before_config(self, corpus, capsys):
+        cfg = corpus / "run.cfg"
+        cfg.write_text("\ufeffontology={}\n".format(corpus / "onto.obo"),
+                       encoding="utf-8")
+        assert run("roundtrip-eval", corpus / "gold", "--config", cfg) == 0
+        assert capsys.readouterr().out.count("\n") == 2
+
+    def test_bom_before_train_labels(self, corpus, capsys):
+        labels = corpus / "train-labels.txt"
+        labels.write_text("\ufeffTR:0001\nTR:0002\nTR:0003\n", encoding="utf-8")
+        assert run("evaluate", corpus / "gold", corpus / "gold",
+                   "--ontology", corpus / "onto.obo",
+                   "--unseen-only", "--train-labels", labels) == 0
+        cells = capsys.readouterr().out.strip().splitlines()[-1].split("\t")
+        # every concept was "seen": both sides empty
+        assert cells[2:6] == ["0.0000", "0.0000", "0", "0"]
+
 
 class TestRoundtripEval:
     def test_report_row(self, corpus, capsys):

@@ -214,6 +214,9 @@ class TestReadSynonyms:
         pairs = read_synonyms("# comment\nES cell\tCL:1\n\nkinase\tPR:1\n")
         assert pairs == [("ES cell", "CL:1"), ("kinase", "PR:1")]
 
+    def test_leading_bom_is_not_part_of_the_term(self):
+        assert read_synonyms("\ufeffalpha\tX:1") == [("alpha", "X:1")]
+
     def test_malformed(self):
         with pytest.raises(ParseError, match="^line 1: expected 'term<TAB>CURIE'"):
             read_synonyms("no tab here\n")

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -10,7 +11,7 @@ from conceptkit import (NIL, Annotation, ConceptKitError, ConllRow, Document,
 from conceptkit.formats import logger as formats_logger
 from conceptkit.formats import (iter_sentences, read_conll_dir,
                                 read_predictions_dir, read_standoff_dir,
-                                read_text, tokenize_sentences)
+                                read_text, split_lines, tokenize_sentences)
 
 from helpers import (WORDS, collect_warnings, per_line_sentences,
                      random_simple_document, rows_from_tuples)
@@ -57,6 +58,11 @@ class TestTokenize:
             ["one", "two"], ["three", "."]]
         assert sentences[1][0][1] == TextSpan(9, 14)
 
+    def test_carriage_return_ends_a_sentence(self):
+        sentences = tokenize_sentences("alpha beta\rgamma delta\r")
+        assert [[t for t, _ in s] for s in sentences] == [
+            ["alpha", "beta"], ["gamma", "delta"]]
+
 
 line_texts = st.tuples(
     st.sampled_from(["", "\ufeff"]),
@@ -71,11 +77,28 @@ def test_sentences_match_per_line_tokenizer(text):
     assert tokenize_sentences(text) == per_line_sentences(text)
 
 
+#: Characters that str.splitlines() treats as line boundaries.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
+
+
+@given(st.lists(st.sampled_from(["a", "bc", " ", "\ufeff", *LINE_BREAKS]))
+       .map("".join))
+def test_split_lines_blocks_match_whole_text_split(text):
+    want = re.split(r"\r\n?|\n", text.removeprefix("\ufeff"))
+    for block in range(1, 9):
+        assert list(split_lines(text, block)) == want
+
+
 class TestStandoff:
     def test_single_span(self):
         doc = parse_standoff("T1\tCHEBI:33893 0 5\tagent\n", "agent of change")
         assert doc.annotations == (
             Annotation("CHEBI:33893", (TextSpan(0, 5),)),)
+
+    def test_leading_bom_keeps_the_first_record(self):
+        doc = parse_standoff("\ufeffT1\tX:1 0 5\tagent\n", "agent of change")
+        assert doc.annotations == (Annotation("X:1", (TextSpan(0, 5),)),)
 
     def test_discontinuous(self):
         doc = parse_standoff("T2\tCL:0002322 0 2;15 20\tES ... cells\n",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import conceptkit
 from conceptkit import ParseError, parse_obo, wang_similarity
-from conceptkit.ontology import _SYNONYM_RE, Concept, _lines
+from conceptkit.ontology import _SYNONYM_RE, Concept
 
 from helpers import (REFERENCE_SYNONYM_RE, chain_obo, collect_warnings,
                      reference_logger, reference_parse_obo)
@@ -96,6 +96,27 @@ class TestParseObo:
         assert list(graph) == ["X:1"]
         assert graph["X:1"] == Concept("kept")
 
+    # str.splitlines would end the line inside each value
+    def test_values_end_only_at_newline_or_carriage_return(self):
+        graph = parse_obo('[Term]\nid: X:1\nname: alpha\x85beta\n'
+                          'synonym: "ga\u2028mma" EXACT []\n')
+        assert graph["X:1"] == Concept("alpha\x85beta", ("ga\u2028mma",))
+
+    def test_escaped_bang_starts_no_comment(self):
+        graph = parse_obo("[Term]\nid: X:1\nname: 5\\!-deoxy thing ! comment\n")
+        assert graph["X:1"].name == "5!-deoxy thing"
+
+    @pytest.mark.parametrize("escaped, decoded", [
+        ("back\\\\slash", "back\\slash"), ("tab\\there", "tab\there"),
+        ("two\\nlines", "two\nlines"), ("a\\Wspace", "a space"),
+        ('\\:\\,\\"\\(\\)\\[\\]\\{\\}\\!', ':,"()[]{}!'),
+        # not an OBO escape: the backslash stays
+        ("a\\xb", "a\\xb")])
+    def test_names_and_synonyms_decode_escapes(self, escaped, decoded):
+        graph = parse_obo(f'[Term]\nid: X:1\nname: {escaped}\n'
+                          f'synonym: "{escaped}" EXACT []\n')
+        assert graph["X:1"] == Concept(decoded, (decoded,))
+
     def test_leading_bom_keeps_the_first_stanza(self, caplog):
         text = "\ufeff[Term]\nid: X:1\nname: a\n\n[Term]\nid: X:2\nis_a: X:1\n"
         with caplog.at_level("WARNING"):
@@ -133,21 +154,10 @@ class TestParseObo:
         assert all(p is keys[p] for p in parents)
 
 
-#: Characters that str.splitlines() treats as line boundaries.
-LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
-               "\x85", "\u2028", "\u2029"]
-
-
-@given(st.lists(st.sampled_from(["a", "bc", " ", *LINE_BREAKS])).map("".join),
-       st.integers(0, 2))
-def test_block_reader_yields_splitlines(text, start):
-    for block in range(1, 9):
-        assert list(_lines(text, start, block)) == text[start:].splitlines()
-
-
 _CURIES = st.sampled_from(["X:1", "X:2", "X:3", "X:4", "Y:9"])
 _VALUE = st.lists(st.sampled_from(
-    ["a", "b c", ":", "!", "\t", '"', "\x0b", "\x0c", "\x85", "\u2028"]),
+    ["a", "b c", ":", "!", "\t", '"', "\x0b", "\x0c", "\x85", "\u2028",
+     "\\", "\\!", "\\W"]),
     max_size=4).map("".join)
 _QUOTED = st.lists(st.sampled_from(["a", " ", "!", '\\"', "b", "\\\\", "\\"]),
                    max_size=4).map("".join)

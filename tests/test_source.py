@@ -34,3 +34,38 @@ def test_unused_imports_are_found():
     ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def splitlines_users(source: str) -> list[str]:
+    """The dotted names of the functions that read a `.splitlines`
+    attribute, once per reading, in source order; "" stands for module
+    level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "splitlines":
+                found.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_splitlines_users_are_found():
+    source = ("x = 'a'.splitlines()\nclass C:\n    def f(self, t):\n"
+              "        return list(map(str.splitlines, t))\n")
+    assert splitlines_users(source) == ["", "C.f"]
+
+
+def test_only_write_standoff_splits_at_every_line_boundary():
+    """Every reader ends a line only where formats.split_lines does;
+    write_standoff flattens a mention's text at every str.splitlines
+    boundary on purpose, so that no record can break."""
+    users = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in splitlines_users(path.read_text(encoding="utf-8"))]
+    assert users == ["formats.write_standoff"]
