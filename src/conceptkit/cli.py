@@ -184,7 +184,9 @@ def cmd_baseline_train(args) -> int:
 
 def cmd_baseline_tag(args) -> int:
     try:
-        tagger = tuning.LexiconTagger.from_json(read_text(Path(args.lexicon)))
+        # a leading byte order mark is dropped here as in every line reader
+        text = read_text(Path(args.lexicon)).removeprefix("\ufeff")
+        tagger = tuning.LexiconTagger.from_json(text)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConceptKitError(f"bad lexicon file {args.lexicon}: {exc}") from None
     out = {doc_id: formats.write_conll(tagger.tag_rows(sentences))

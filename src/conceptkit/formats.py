@@ -38,6 +38,7 @@ logger = logging.getLogger(__name__)
 _TOKEN_RE = re.compile(r"[^\W_]+|[^\w\s\ufeff]|_")
 
 _EMPTY_FEATURES = "-"
+_SPAN_TAGS = {tag.value: tag for tag in SpanTag}
 
 
 def tokenize(text: str) -> list[tuple[str, TextSpan]]:
@@ -105,55 +106,48 @@ def parse_standoff(ann_text: str, doc_text: str, doc_id: str = "",
     bare = Document(doc_id, doc_text)
     annotations = []
     seen_ids = set()
-    for lineno, line in enumerate(split_lines(ann_text), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t", 2)
-        if len(fields) < 2:
-            raise ParseError("expected tab-separated record", line=lineno, source=source)
-        ann_id, type_field = fields[0], fields[1]
-        recorded_text = fields[2] if len(fields) > 2 else ""
-        if not ann_id.startswith("T"):
-            continue
-        if ann_id in seen_ids:
-            raise ParseError(f"duplicate annotation id {ann_id}", line=lineno, source=source)
-        seen_ids.add(ann_id)
-        concept, _, fragment_field = type_field.partition(" ")
-        if not concept or not fragment_field:
-            raise ParseError("expected 'CONCEPT start end[;start end...]'",
-                             line=lineno, source=source)
-        spans = []
-        for fragment in fragment_field.split(";"):
-            parts = fragment.split()
-            if len(parts) != 2:
-                raise ParseError(f"bad fragment {fragment!r}", line=lineno, source=source)
-            try:
-                start, end = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"non-integer offsets in {fragment!r}",
-                                 line=lineno, source=source) from None
-            if start < 0 or start >= end:
-                raise ParseError(f"empty or inverted span {start} {end}",
-                                 line=lineno, source=source)
-            if end > len(doc_text):
-                raise ParseError(
-                    f"offset {end} beyond text length {len(doc_text)}",
-                    line=lineno, source=source)
-            spans.append(TextSpan(start, end))
-        try:
+    try:
+        for lineno, line in enumerate(split_lines(ann_text), start=1):
+            if not line.strip():
+                continue
+            fields = line.split("\t", 2)
+            if len(fields) < 2:
+                raise ValueError("expected tab-separated record")
+            ann_id, type_field = fields[0], fields[1]
+            recorded_text = fields[2] if len(fields) > 2 else ""
+            if not ann_id.startswith("T"):
+                continue
+            if ann_id in seen_ids:
+                raise ValueError(f"duplicate annotation id {ann_id}")
+            seen_ids.add(ann_id)
+            concept, _, fragment_field = type_field.partition(" ")
+            if not concept or not fragment_field:
+                raise ValueError("expected 'CONCEPT start end[;start end...]'")
+            spans = []
+            for fragment in fragment_field.split(";"):
+                parts = fragment.split()
+                if len(parts) != 2:
+                    raise ValueError(f"bad fragment {fragment!r}")
+                try:
+                    start, end = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise ValueError(f"non-integer offsets in {fragment!r}") from None
+                spans.append(TextSpan(start, end))
+                if end > len(doc_text):
+                    raise ValueError(f"offset {end} beyond text length {len(doc_text)}")
             ann = Annotation(concept, tuple(spans))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno, source=source) from None
-        covered = bare.covered_text(ann)
-        recorded = _normalise_ws(recorded_text)
-        # brat joins the fragment texts of a discontinuous mention with a space
-        if recorded_text and recorded != _normalise_ws(covered) and (
-                recorded != _normalise_ws(" ".join(doc_text[s.start:s.end]
-                                                   for s in spans))):
-            logger.warning(
-                "%s:%d: text mismatch for %s: recorded %r, covered %r",
-                source, lineno, ann_id, recorded_text, covered)
-        annotations.append(ann)
+            covered = bare.covered_text(ann)
+            recorded = _normalise_ws(recorded_text)
+            # brat joins a discontinuous mention's fragment texts with a space
+            if recorded_text and recorded != _normalise_ws(covered) and (
+                    recorded != _normalise_ws(" ".join(doc_text[s.start:s.end]
+                                                       for s in spans))):
+                logger.warning(
+                    "%s:%d: text mismatch for %s: recorded %r, covered %r",
+                    source, lineno, ann_id, recorded_text, covered)
+            annotations.append(ann)
+    except ValueError as exc:
+        raise ParseError(str(exc), line=lineno, source=source) from None
     return Document(doc_id, doc_text, tuple(annotations))
 
 
@@ -173,47 +167,37 @@ def parse_conll(text: str, source: str = "") -> list[list[ConllRow]]:
     sentences: list[list[ConllRow]] = []
     current: list[ConllRow] = []
     prev_end = 0
-    for lineno, line in enumerate(split_lines(text), start=1):
-        if not line.strip():
-            if current:
-                sentences.append(current)
-                current = []
-            continue
-        cols = line.split("\t")
-        if len(cols) != 6:
-            raise ParseError(f"expected 6 columns, got {len(cols)}",
-                             line=lineno, source=source)
-        token, start_s, end_s, tag_s, id_tag, feat_s = cols
-        try:
-            start, end = int(start_s), int(end_s)
-        except ValueError:
-            raise ParseError(f"non-integer offsets {start_s!r} {end_s!r}",
-                             line=lineno, source=source) from None
-        if start < 0 or start >= end:
-            raise ParseError(f"empty or inverted span {start} {end}",
-                             line=lineno, source=source)
-        if start < prev_end:
-            raise ParseError(f"non-monotonic offset {start} after {prev_end}",
-                             line=lineno, source=source)
-        prev_end = end
-        try:
-            tag = SpanTag(tag_s)
-        except ValueError:
-            raise ParseError(f"unknown span tag {tag_s!r}",
-                             line=lineno, source=source) from None
-        if not id_tag:
-            raise ParseError("empty id tag", line=lineno, source=source)
-        if feat_s == _EMPTY_FEATURES:
-            features: tuple[str, ...] = ()
-        else:
-            features = tuple(f for f in feat_s.split(";") if f)
-            if not features:
-                raise ParseError(f"bad feature field {feat_s!r}",
-                                 line=lineno, source=source)
-        try:
-            current.append(ConllRow(token, TextSpan(start, end), tag, id_tag, features))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno, source=source) from None
+    try:
+        for lineno, line in enumerate(split_lines(text), start=1):
+            if not line.strip():
+                if current:
+                    sentences.append(current)
+                    current = []
+                continue
+            cols = line.split("\t")
+            if len(cols) != 6:
+                raise ValueError(f"expected 6 columns, got {len(cols)}")
+            token, start_s, end_s, tag_s, id_tag, feat_s = cols
+            try:
+                start, end = int(start_s), int(end_s)
+            except ValueError:
+                raise ValueError(f"non-integer offsets {start_s!r} {end_s!r}") from None
+            span = TextSpan(start, end)
+            if start < prev_end:
+                raise ValueError(f"non-monotonic offset {start} after {prev_end}")
+            prev_end = end
+            tag = _SPAN_TAGS.get(tag_s)
+            if tag is None:
+                raise ValueError(f"unknown span tag {tag_s!r}")
+            features = (() if feat_s == _EMPTY_FEATURES
+                        else tuple(f for f in feat_s.split(";") if f))
+            row = ConllRow(token, span, tag, id_tag, features)
+            # after the row's own checks, so that an empty id tag is reported first
+            if not features and feat_s != _EMPTY_FEATURES:
+                raise ValueError(f"bad feature field {feat_s!r}")
+            current.append(row)
+    except ValueError as exc:
+        raise ParseError(str(exc), line=lineno, source=source) from None
     if current:
         sentences.append(current)
     return sentences
@@ -236,13 +220,16 @@ def write_conll(sentences: list[list[ConllRow]]) -> str:
 def read_text(path: str | Path) -> str:
     """Read a UTF-8 file without newline translation.
 
-    A CRLF stays two characters, as stand-off offsets count it.
+    A CRLF stays two characters, as stand-off offsets count it. A file
+    that is not UTF-8 is an error naming the file and the byte offset.
     """
     try:
         with open(path, encoding="utf-8", newline="") as f:
             return f.read()
     except FileNotFoundError:
         raise ConceptKitError(f"missing file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConceptKitError(f"{path}: {exc}") from None
 
 
 def _files(path: str, suffix: str) -> list[Path]:

@@ -39,7 +39,7 @@ class TextSpan:
 
     def __post_init__(self):
         if self.start < 0 or self.start >= self.end:
-            raise ValueError(f"invalid span ({self.start}, {self.end})")
+            raise ValueError(f"empty or inverted span {self.start} {self.end}")
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -129,10 +129,10 @@ class ConllRow:
     dict_features: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not self.id_tag:
+            raise ValueError("empty id tag")
         if not self.token:
             raise ValueError("empty token")
-        if not self.id_tag:
-            raise ValueError("empty id tag (use NIL)")
         feats = tuple(sorted(set(self.dict_features)))
         if feats != self.dict_features:
             object.__setattr__(self, "dict_features", feats)

@@ -23,17 +23,24 @@ logger = logging.getLogger(__name__)
 #: Default per-edge decay for is_a links in the similarity computation.
 DEFAULT_DECAY = 0.8
 
-# Unrolled loop: each repetition of the group starts at a backslash, so
-# a quoted text matches in one way only and an unclosed quote fails in
-# linear time.
-_SYNONYM_RE = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"')
-
-# A value's text before its comment, which starts at an unescaped "!".
-_BEFORE_COMMENT_RE = re.compile(r"[^!\\]*(?:\\.?[^!\\]*)*")
-
 # The OBO 1.4 escapes; a backslash before any other character is kept.
 _ESCAPE_RE = re.compile(r'\\([nWt:,"\\()\[\]{}!])')
 _ESCAPED = {"n": "\n", "W": " ", "t": "\t"}
+
+
+def _find_unescaped(value: str, stop: str, start: int = 0) -> int:
+    """The index of the first `stop` at or after `start` that no
+    backslash escapes, or len(value). A backslash escapes the next
+    character, so an odd run of backslashes escapes the `stop` after it."""
+    i = value.find(stop, start)
+    while i != -1:
+        run = i
+        while run > start and value[run - 1] == "\\":
+            run -= 1
+        if (i - run) % 2 == 0:
+            return i
+        i = value.find(stop, i + 1)
+    return len(value)
 
 
 def _unescape(value: str) -> str:
@@ -137,48 +144,51 @@ def parse_obo(text: str, source: str = "") -> OntologyGraph:
     intern = {}.setdefault
     in_term = False
     curie = None
-    name, synonyms, parents, obsolete = "", [], [], False
     stanza_line = 0
-    # the sentinel header closes the last stanza
-    for lineno, raw in enumerate(chain(split_lines(text), ("[",)), start=1):
-        line = raw.strip()
-        if line.startswith("["):
-            if curie is not None:
-                if curie in concepts:
-                    logger.warning("%s:line %d: repeated id %s replaces the "
-                                   "earlier stanza", source or "obo",
-                                   stanza_line, curie)
-                concepts[curie] = Concept(name, tuple(synonyms),
-                                          tuple(dict.fromkeys(parents)),
-                                          obsolete)
-            in_term = line == "[Term]"
-            curie, name, synonyms, parents, obsolete = None, "", [], [], False
-            stanza_line = lineno
-            continue
-        if not in_term or not line or line.startswith("!"):
-            continue
-        key, _, raw_value = line.partition(":")
-        if key == "synonym":
-            # match before comment-stripping: quoted text may contain "!"
-            match = _SYNONYM_RE.search(raw_value)
-            if not match:
-                raise ParseError(f"unparseable synonym {raw_value.strip()!r}",
-                                 line=lineno, source=source)
-            synonyms.append(_unescape(match.group(1)))
-        elif key in ("id", "name", "is_a", "is_obsolete"):
-            value = _BEFORE_COMMENT_RE.match(raw_value)[0].strip()
-            if key == "id":
-                curie = intern(value, value)
-            elif key == "name":
-                name = _unescape(value)
-            elif key == "is_a":
-                if not value:
-                    raise ParseError("empty is_a target", line=lineno,
-                                     source=source)
-                target = value.split(None, 1)[0]
-                parents.append(intern(target, target))
-            else:
-                obsolete = value.lower() == "true"
+    try:
+        # the sentinel header closes the last stanza
+        for lineno, raw in enumerate(chain(split_lines(text), ("[",)), start=1):
+            line = raw.strip()
+            if line.startswith("["):
+                if curie is not None:
+                    if curie in concepts:
+                        logger.warning("%s:line %d: repeated id %s replaces the "
+                                       "earlier stanza", source or "obo",
+                                       stanza_line, curie)
+                    concepts[curie] = Concept(name, tuple(synonyms),
+                                              tuple(dict.fromkeys(parents)),
+                                              obsolete)
+                in_term = line == "[Term]"
+                curie, name, synonyms, parents, obsolete = None, "", [], [], False
+                stanza_line = lineno
+                continue
+            if not in_term or not line or line.startswith("!"):
+                continue
+            key, _, raw_value = line.partition(":")
+            if key == "synonym":
+                # find the quotes before cutting a comment: they may hold "!"
+                opening = raw_value.find('"')
+                closing = _find_unescaped(raw_value, '"', opening + 1)
+                if closing == len(raw_value):
+                    raise ValueError(f"unparseable synonym {raw_value.strip()!r}")
+                synonyms.append(_unescape(raw_value[opening + 1:closing]))
+            elif key in ("id", "name", "is_a", "is_obsolete"):
+                if "!" in raw_value:  # most values hold none: skip the scan
+                    raw_value = raw_value[:_find_unescaped(raw_value, "!")]
+                value = raw_value.strip()
+                if key == "id":
+                    curie = intern(value, value)
+                elif key == "name":
+                    name = _unescape(value)
+                elif key == "is_a":
+                    if not value:
+                        raise ValueError("empty is_a target")
+                    target = value.split(None, 1)[0]
+                    parents.append(intern(target, target))
+                else:
+                    obsolete = value.lower() == "true"
+    except ValueError as exc:
+        raise ParseError(str(exc), line=lineno, source=source) from None
 
     for curie, concept in concepts.items():
         dropped = [p for p in concept.parents if p not in concepts]

@@ -296,8 +296,8 @@ def per_line_sentences(text: str) -> list[list[tuple[str, TextSpan]]]:
 
 
 #: A synonym's quoted text, matched one character or escape at a time.
-#: Reference for `ontology._SYNONYM_RE`, which must find the same span
-#: and group.
+#: Reference for the quote scan of `ontology.parse_obo`, which must find
+#: the same span and text.
 REFERENCE_SYNONYM_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 
 #: Logger of the reference OBO parser and term indexer below.
@@ -413,6 +413,31 @@ def reference_parse_obo(text: str, source: str = "") -> OntologyGraph:
             concepts[curie] = Concept(concept.name, concept.synonyms,
                                       valid, concept.obsolete)
     return OntologyGraph(concepts)
+
+
+#: The characters `write_obo` escapes, with their OBO 1.4 escapes.
+_OBO_ESCAPE = str.maketrans({"\\": "\\\\", "!": "\\!", '"': '\\"',
+                             "{": "\\{", "}": "\\}", "\n": "\\n",
+                             "\t": "\\t"})
+
+
+def write_obo(concepts: dict[str, Concept]) -> str:
+    """One [Term] stanza per concept. Names and synonyms escape
+    \\ ! " { } and the LF and tab; a comment follows each name and is_a.
+    `parse_obo` reads the same concepts back when no value holds a CR,
+    no name starts or ends with whitespace other than LF or tab, and
+    every parent is one of the concepts."""
+    stanzas = []
+    for curie, concept in concepts.items():
+        lines = ["[Term]", f"id: {curie}",
+                 f"name: {concept.name.translate(_OBO_ESCAPE)} ! name"]
+        lines += [f'synonym: "{synonym.translate(_OBO_ESCAPE)}" EXACT []'
+                  for synonym in concept.synonyms]
+        lines += [f"is_a: {parent} ! parent" for parent in concept.parents]
+        if concept.obsolete:
+            lines.append("is_obsolete: true")
+        stanzas.append("\n".join(lines) + "\n")
+    return "\n".join(stanzas)
 
 
 #: Punctuation, underscores and whitespace, replaced by one space each

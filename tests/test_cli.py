@@ -89,6 +89,15 @@ class TestConvertRestore:
             f"conceptkit: error: {gold / 'doc.ann'}:line 2: "
             "duplicate annotation id T1\n")
 
+    def test_non_utf8_input_names_the_file(self, tmp_path, capsys):
+        gold = tmp_path / "gold"
+        gold.mkdir()
+        (gold / "doc.txt").write_bytes(b"abc\xe9def\n")
+        assert run("convert", gold, tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            f"conceptkit: error: {gold / 'doc.txt'}: 'utf-8' codec can't "
+            "decode byte 0xe9 in position 3: invalid continuation byte\n")
+
 
 class TestCrlf:
     def test_crlf_offsets_survive_convert_and_roundtrip(self, tmp_path, capsys):
@@ -150,6 +159,17 @@ class TestByteOrderMark:
         cells = capsys.readouterr().out.strip().splitlines()[-1].split("\t")
         # every concept was "seen": both sides empty
         assert cells[2:6] == ["0.0000", "0.0000", "0", "0"]
+
+    def test_bom_before_lexicon(self, corpus):
+        conll = corpus / "conll"
+        run("convert", corpus / "gold", conll)
+        lexicon = corpus / "lexicon.json"
+        assert run("baseline-train", conll, lexicon) == 0
+        lexicon.write_text("\ufeff" + lexicon.read_text(encoding="utf-8"),
+                           encoding="utf-8")
+        out = corpus / "baseline"
+        assert run("baseline-tag", conll, out, "--lexicon", lexicon) == 0
+        assert "TR:0001" in (out / "doc1.conll").read_text()
 
 
 class TestRoundtripEval:

@@ -292,6 +292,52 @@ def test_error_without_source_names_no_file(parse, text, message):
     assert info.value.source is None
 
 
+_ROW = "x\t0\t1\tO\tNIL\t-\n"
+
+
+@pytest.mark.parametrize("source, text, message", [
+    ("d.conll", "x\t0\t1\tO\tNIL\n", "line 1: expected 6 columns, got 5"),
+    ("d.conll", _ROW + "y\t2\tb\tO\tNIL\t-\n",
+     "line 2: non-integer offsets '2' 'b'"),
+    ("d.conll", "x\t-1\t1\tO\tNIL\t-\n", "line 1: empty or inverted span -1 1"),
+    ("d.conll", "x\t5\t3\tO\tNIL\t-\n", "line 1: empty or inverted span 5 3"),
+    ("d.conll", "x\t4\t4\tO\tNIL\t-\n", "line 1: empty or inverted span 4 4"),
+    ("d.conll", "x\t0\t5\tO\tNIL\t-\r\ny\t3\t8\tO\tNIL\t-\n",
+     "line 2: non-monotonic offset 3 after 5"),
+    ("d.conll", "x\t0\t1\tQ\tNIL\t-\n", "line 1: unknown span tag 'Q'"),
+    ("d.conll", "x\t0\t1\tO\t\t-\n", "line 1: empty id tag"),
+    ("d.conll", _ROW + "\ny\t2\t3\tO\tNIL\t;\n", "line 3: bad feature field ';'"),
+    ("d.conll", "\t0\t1\tO\tNIL\t-\n", "line 1: empty token"),
+    ("d.ann", "T1 X:1 0 5 alpha\n", "line 1: expected tab-separated record"),
+    ("d.ann", "T1\tX:1 0 5\talpha\nT1\tX:1 6 10\tbeta\n",
+     "line 2: duplicate annotation id T1"),
+    ("d.ann", "T1\t 0 5\talpha\n",
+     "line 1: expected 'CONCEPT start end[;start end...]'"),
+    ("d.ann", "T1\tX:1\talpha\n",
+     "line 1: expected 'CONCEPT start end[;start end...]'"),
+    ("d.ann", "T1\tX:1 0 5;6\talpha\n", "line 1: bad fragment '6'"),
+    ("d.ann", "T1\tX:1 0 x\talpha\n", "line 1: non-integer offsets in '0 x'"),
+    ("d.ann", "T1\tX:1 5 2\talpha\n", "line 1: empty or inverted span 5 2"),
+    ("d.ann", "T1\tX:1 -1 2\talpha\n", "line 1: empty or inverted span -1 2"),
+    ("d.ann", "#1\tnote\rT1\tX:1 6 11\tbeta\n",
+     "line 2: offset 11 beyond text length 10"),
+    ("d.ann", "T1\tX:1 0 5;3 8\talpha\n",
+     "line 1: spans out of order or overlapping: "
+     "(TextSpan(start=0, end=5), TextSpan(start=3, end=8))"),
+    ("d.ann", "T1\tNIL 0 5\talpha\n", "line 1: invalid concept id 'NIL'"),
+])
+def test_reader_diagnostics_name_file_and_line(source, text, message):
+    """Each reader rule fails with one exact 'SOURCE:line N: message'."""
+    with pytest.raises(ParseError) as info:
+        if source.endswith(".conll"):
+            parse_conll(text, source=source)
+        else:
+            parse_standoff(text, "alpha beta", "d", source=source)
+    assert str(info.value) == f"{source}:{message}"
+    assert (info.value.source, info.value.line) == (
+        source, int(message.split(":")[0].removeprefix("line ")))
+
+
 class TestCorpusDirectories:
     def test_crlf_text_is_kept(self, tmp_path):
         (tmp_path / "doc.txt").write_bytes(b"one\r\ntwo\r\n")

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 import conceptkit
 from conceptkit import ParseError, parse_obo, wang_similarity
-from conceptkit.ontology import _SYNONYM_RE, Concept
+from conceptkit.ontology import Concept, _find_unescaped
 
 from helpers import (REFERENCE_SYNONYM_RE, chain_obo, collect_warnings,
-                     reference_logger, reference_parse_obo)
+                     reference_logger, reference_parse_obo, write_obo)
 
 DIAMOND_OBO = """\
 [Term]
@@ -178,9 +178,14 @@ _OBO_LINE = st.one_of(
 
 @given(st.lists(st.sampled_from(['"', "\\", "!", "a", " ", "é"])).map("".join))
 def test_synonym_pattern_matches_per_character_reference(value):
-    got, want = _SYNONYM_RE.search(value), REFERENCE_SYNONYM_RE.search(value)
-    assert (got and (got.span(), got.group(1))) == (
-        want and (want.span(), want.group(1)))
+    """parse_obo quotes a synonym from the first '"' to the next one that
+    no backslash escapes, the span the per-character pattern finds."""
+    opening = value.find('"')
+    closing = _find_unescaped(value, '"', opening + 1)
+    got = closing < len(value) and ((opening, closing + 1),
+                                    value[opening + 1:closing])
+    want = REFERENCE_SYNONYM_RE.search(value)
+    assert got == (want is not None and (want.span(), want.group(1)))
 
 
 def _stanza(k: int):
@@ -229,6 +234,35 @@ def test_parser_matches_whole_text_reference(text):
     if isinstance(want, str) and "cycle" in want:
         want = f"gen.obo: {want}"
     assert got == (want, want_warnings)
+
+
+# The space, U+000C, U+0085 and U+2028 are whitespace that parse_obo
+# strips from a name's ends, so they stand only inside a name.
+_OBO_CHARS = ["a", "Z9", ":", "é", "!", '"', "\\", "{", "}", "\t", "\n", "\\n"]
+_INSIDE = st.lists(st.sampled_from([*_OBO_CHARS, " ", "\f", "\x85", "\u2028"]),
+                   max_size=5).map("".join)
+_NAMES = st.one_of(st.just(""), st.sampled_from(_OBO_CHARS),
+                   st.builds("{}{}{}".format, st.sampled_from(_OBO_CHARS),
+                             _INSIDE, st.sampled_from(_OBO_CHARS)))
+
+
+@st.composite
+def obo_concepts(draw):
+    """Up to six concepts, each naming some earlier ones as parents."""
+    concepts = {}
+    for k in range(draw(st.integers(0, 6))):
+        parents = draw(st.lists(st.sampled_from(list(concepts)),
+                                unique=True)) if concepts else []
+        concepts[f"X:{k}"] = Concept(
+            draw(_NAMES), tuple(draw(st.lists(_INSIDE, max_size=3))),
+            tuple(parents), draw(st.booleans()))
+    return concepts
+
+
+@given(obo_concepts())
+def test_written_obo_parses_back(concepts):
+    graph = parse_obo(write_obo(concepts))
+    assert [(curie, graph[curie]) for curie in graph] == list(concepts.items())
 
 
 class TestAncestors:

@@ -36,10 +36,9 @@ def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def splitlines_users(source: str) -> list[str]:
-    """The dotted names of the functions that read a `.splitlines`
-    attribute, once per reading, in source order; "" stands for module
-    level."""
+def scopes_of(source: str, match) -> list[str]:
+    """The dotted name of the function around each node that `match`
+    accepts, in source order; "" stands for module level."""
     found = []
 
     def visit(node, scope):
@@ -48,12 +47,20 @@ def splitlines_users(source: str) -> list[str]:
                                   ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}".lstrip("."))
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "splitlines":
+            if match(child):
                 found.append(scope)
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return found
+
+
+def splitlines_users(source: str) -> list[str]:
+    """The dotted names of the functions that read a `.splitlines`
+    attribute, once per reading, in source order; "" stands for module
+    level."""
+    return scopes_of(source, lambda node: isinstance(node, ast.Attribute)
+                     and node.attr == "splitlines")
 
 
 def test_splitlines_users_are_found():
@@ -69,3 +76,27 @@ def test_only_write_standoff_splits_at_every_line_boundary():
     users = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
              for name in splitlines_users(path.read_text(encoding="utf-8"))]
     assert users == ["formats.write_standoff"]
+
+
+def line_error_raisers(source: str) -> list[str]:
+    """The dotted names of the functions that raise a ParseError with a
+    `line` argument, once per raise statement."""
+    return scopes_of(source, lambda node: isinstance(node, ast.Raise)
+                     and isinstance(node.exc, ast.Call)
+                     and getattr(node.exc.func, "id", None) == "ParseError"
+                     and any(k.arg == "line" for k in node.exc.keywords))
+
+
+def test_line_error_raisers_are_found():
+    source = ("def f(n):\n    if n:\n        raise ParseError('a', line=n)\n"
+              "    raise ParseError('b')\n"
+              "def g(n):\n    raise ParseError('c', line=n, source='s')\n")
+    assert line_error_raisers(source) == ["f", "g"]
+
+
+def test_each_reader_adds_file_and_line_in_one_place():
+    """A reader's own checks raise plain errors; one handler per reader
+    turns them into the ParseError that names the file and line."""
+    raisers = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+               for name in line_error_raisers(path.read_text(encoding="utf-8"))]
+    assert len(raisers) == len(set(raisers)), raisers
