@@ -13,11 +13,11 @@ import logging
 import sys
 from pathlib import Path
 
-from . import codec, dicttag, evaluate, formats, harmonise, tuning
+from . import codec, dicttag, evaluate, formats, harmonise, snapshot, tuning
 from .errors import ConceptKitError, ParseError
 from .formats import (iter_sentences, read_conll_dir, read_predictions_dir,
                       read_standoff_dir, read_text, split_lines)
-from .ontology import DEFAULT_DECAY, parse_obo
+from .ontology import DEFAULT_DECAY
 from .simplify import UnifyStrategy, UnnestStrategy
 
 logger = logging.getLogger(__name__)
@@ -27,10 +27,6 @@ UNNEST_CHOICES = [s.value for s in UnnestStrategy]
 STRATEGY_CHOICES = [s.value for s in tuning.STRATEGY_ORDER]
 
 REPORT_HEADER = "set\tstrategy\tM\tS\tI\tD\tP\tR\tF\tSER"
-
-
-def _load_ontology(path: str):
-    return parse_obo(read_text(Path(path)), source=path)
 
 
 def _report_row(set_name, strategy, counts, ser_denominator="reference") -> str:
@@ -84,7 +80,7 @@ def cmd_restore(args) -> int:
 
 def cmd_roundtrip_eval(args) -> int:
     docs = read_standoff_dir(args.input)
-    graph = _load_ontology(args.ontology)
+    graph = snapshot.load_graph(args.ontology)
     set_name = args.set_name or Path(args.input).name
     if args.grid:
         combos = [(u, n) for u in UnifyStrategy for n in UnnestStrategy]
@@ -100,7 +96,6 @@ def cmd_roundtrip_eval(args) -> int:
 
 
 def cmd_dict_tag(args) -> int:
-    graph = _load_ontology(args.ontology)
     extra = []
     if args.synonyms:
         extra = dicttag.read_synonyms(read_text(Path(args.synonyms)),
@@ -110,7 +105,7 @@ def cmd_dict_tag(args) -> int:
         # the lookup lower-cases each token before testing it
         lines = split_lines(read_text(Path(args.stopwords)))
         stopwords = frozenset(w for line in lines for w in line.lower().split())
-    index = dicttag.build_index(graph, extra)
+    index = snapshot.load_index(args.ontology, extra)
     logger.info("index holds %d term entries", len(index))
     out = {doc_id: formats.write_conll(dicttag.tag_rows(sentences, index, stopwords))
            for doc_id, sentences in iter_sentences(args.input)}
@@ -140,7 +135,7 @@ def cmd_evaluate(args) -> int:
         raise ConceptKitError("--unseen-only and --train-labels FILE go together")
     gold = read_standoff_dir(args.gold)
     preds = read_predictions_dir(args.pred, {d: doc.text for d, doc in gold.items()})
-    graph = _load_ontology(args.ontology)
+    graph = snapshot.load_graph(args.ontology)
     train_labels = (_read_train_labels(args.train_labels)
                     if args.unseen_only else None)
     total = evaluate.score_corpus(gold, preds, graph, args.wang_decay,
@@ -155,7 +150,7 @@ def cmd_evaluate(args) -> int:
 def cmd_tune(args) -> int:
     gold_docs = read_standoff_dir(args.gold)
     predictions = read_conll_dir(args.pred)
-    graph = _load_ontology(args.ontology)
+    graph = snapshot.load_graph(args.ontology)
     gold = {doc_id: list(doc.annotations) for doc_id, doc in gold_docs.items()}
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     plan = tuning.make_folds(sorted(gold), args.folds, args.seed)

@@ -7,7 +7,8 @@ LF, CR LF and CR end a line:
     T1<TAB>CHEBI:33893 0 5<TAB>agent
 
 The second field holds the concept CURIE followed by one or more
-"start end" fragment pairs separated by ";". Fragment texts of
+"start end" fragment pairs separated by ";", each offset a run of ASCII
+digits and the two one space apart. Fragment texts of
 discontinuous mentions are written joined with " ... " in the third
 field; brat's own single-space join is read as well.
 
@@ -16,8 +17,8 @@ CoNLL (.conll), one token per line, six tab-separated columns:
     token  start  end  span_tag  id_tag  dict_features
 
 Dictionary features are ";"-joined CURIEs, "-" when empty. A blank line
-separates sentences. Offsets refer to the original document text and
-increase monotonically through the file.
+separates sentences. Offsets are runs of ASCII digits; they refer to the
+original document text and increase monotonically through the file.
 
 A corpus directory holds DOC.txt with DOC.ann, or DOC.conll, per document.
 """
@@ -87,6 +88,12 @@ def split_lines(text: str, block: int = 1 << 16):
     yield rest
 
 
+def _is_offset(s: str) -> bool:
+    """An offset is written as ASCII digits alone: no sign, space,
+    underscore or other script's digit, all of which int() accepts."""
+    return s.isascii() and s.isdigit()
+
+
 def _normalise_ws(s: str) -> str:
     return " ".join(s.split())
 
@@ -125,13 +132,12 @@ def parse_standoff(ann_text: str, doc_text: str, doc_id: str = "",
                 raise ValueError("expected 'CONCEPT start end[;start end...]'")
             spans = []
             for fragment in fragment_field.split(";"):
-                parts = fragment.split()
+                parts = fragment.split(" ", 1)
                 if len(parts) != 2:
                     raise ValueError(f"bad fragment {fragment!r}")
-                try:
-                    start, end = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise ValueError(f"non-integer offsets in {fragment!r}") from None
+                if not _is_offset(parts[0]) or not _is_offset(parts[1]):
+                    raise ValueError(f"non-integer offsets in {fragment!r}")
+                start, end = int(parts[0]), int(parts[1])
                 spans.append(TextSpan(start, end))
                 if end > len(doc_text):
                     raise ValueError(f"offset {end} beyond text length {len(doc_text)}")
@@ -178,10 +184,9 @@ def parse_conll(text: str, source: str = "") -> list[list[ConllRow]]:
             if len(cols) != 6:
                 raise ValueError(f"expected 6 columns, got {len(cols)}")
             token, start_s, end_s, tag_s, id_tag, feat_s = cols
-            try:
-                start, end = int(start_s), int(end_s)
-            except ValueError:
-                raise ValueError(f"non-integer offsets {start_s!r} {end_s!r}") from None
+            if not _is_offset(start_s) or not _is_offset(end_s):
+                raise ValueError(f"non-integer offsets {start_s!r} {end_s!r}")
+            start, end = int(start_s), int(end_s)
             span = TextSpan(start, end)
             if start < prev_end:
                 raise ValueError(f"non-monotonic offset {start} after {prev_end}")

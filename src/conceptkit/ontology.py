@@ -132,13 +132,13 @@ def parse_obo(text: str, source: str = "") -> OntologyGraph:
 
     Recognised keys: id, name, synonym, is_a, is_obsolete; everything
     else is ignored. Obsolete terms are loaded but flagged. Dangling
-    is_a targets are dropped with a warning; cycles are an error. A
-    repeated id replaces the earlier stanza's concept, with a warning.
-    Lines end as `formats.split_lines` ends them, which also drops a
-    leading byte order mark. A comment starts at the first "!" that no
-    backslash escapes; names and synonyms decode the OBO 1.4 escapes.
-    Each CURIE is one string object, shared by its key and every is_a
-    edge that names it.
+    is_a targets are dropped with a warning; cycles and an empty id are
+    errors. A repeated id replaces the earlier stanza's concept, with a
+    warning. Lines end as `formats.split_lines` ends them, which also
+    drops a leading byte order mark. A comment starts at the first "!"
+    that no backslash escapes; names and synonyms decode the OBO 1.4
+    escapes. Each CURIE is one string object, shared by its key and every
+    is_a edge that names it.
     """
     concepts: dict[str, Concept] = {}
     intern = {}.setdefault
@@ -177,6 +177,8 @@ def parse_obo(text: str, source: str = "") -> OntologyGraph:
                     raw_value = raw_value[:_find_unescaped(raw_value, "!")]
                 value = raw_value.strip()
                 if key == "id":
+                    if not value:
+                        raise ValueError("empty id")
                     curie = intern(value, value)
                 elif key == "name":
                     name = _unescape(value)

@@ -11,6 +11,15 @@ from helpers import CHAIN_OBO, tree_graph
 settings.register_profile("ci", max_examples=1000)
 
 
+@pytest.fixture(autouse=True)
+def snapshot_cache(tmp_path_factory, monkeypatch):
+    """Each test's own ontology snapshot directory, so that no test
+    reads or writes the user's ~/.cache."""
+    cache = tmp_path_factory.mktemp("xdg-cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    return cache / "conceptkit"
+
+
 @pytest.fixture(scope="session")
 def chain_graph():
     """Three-node is_a chain: TEST:C -> TEST:B -> TEST:A."""

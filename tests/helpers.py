@@ -386,6 +386,8 @@ def reference_parse_obo(text: str, source: str = "") -> OntologyGraph:
         key, _, raw_value = line.partition(":")
         value = reference_before_comment(raw_value).strip()
         if key == "id":
+            if not value:
+                raise ParseError("empty id", line=lineno, source=source)
             stanza["id"] = value
         elif key == "name":
             stanza["name"] = reference_unescape(value)

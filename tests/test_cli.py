@@ -468,7 +468,8 @@ class TestConfigFile:
 def test_start_up_loads_no_process_pool_or_typing():
     """Every command pays for the modules `conceptkit.cli` imports; the
     process pool's (multiprocessing, socket, pickle, subprocess) are
-    loaded by `tune --jobs N` with N > 1 only."""
+    loaded by `tune --jobs N` with N > 1 only, and hashlib by the
+    commands that read an ontology only."""
     env = dict(os.environ, PYTHONPATH=str(Path(conceptkit.__file__).parents[1]))
 
     def loaded(statement):
@@ -482,7 +483,7 @@ def test_start_up_loads_no_process_pool_or_typing():
     added = loaded("import conceptkit.cli; ") - loaded("")
     assert "conceptkit.tuning" in added
     assert added & {"multiprocessing", "concurrent.futures.process",
-                    "typing"} == set()
+                    "typing", "hashlib"} == set()
 
 
 def test_every_traced_name_resolves(monkeypatch):

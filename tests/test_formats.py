@@ -299,7 +299,13 @@ _ROW = "x\t0\t1\tO\tNIL\t-\n"
     ("d.conll", "x\t0\t1\tO\tNIL\n", "line 1: expected 6 columns, got 5"),
     ("d.conll", _ROW + "y\t2\tb\tO\tNIL\t-\n",
      "line 2: non-integer offsets '2' 'b'"),
-    ("d.conll", "x\t-1\t1\tO\tNIL\t-\n", "line 1: empty or inverted span -1 1"),
+    ("d.conll", "x\t-1\t1\tO\tNIL\t-\n", "line 1: non-integer offsets '-1' '1'"),
+    # int() reads each of these offsets; an offset is ASCII digits alone
+    ("d.conll", "x\t+12\t14\tO\tNIL\t-\n", "line 1: non-integer offsets '+12' '14'"),
+    ("d.conll", "x\t 3\t5\tO\tNIL\t-\n", "line 1: non-integer offsets ' 3' '5'"),
+    ("d.conll", "x\t0\t1_0\tO\tNIL\t-\n", "line 1: non-integer offsets '0' '1_0'"),
+    ("d.conll", "x\t\u0663\t5\tO\tNIL\t-\n",
+     "line 1: non-integer offsets '\u0663' '5'"),
     ("d.conll", "x\t5\t3\tO\tNIL\t-\n", "line 1: empty or inverted span 5 3"),
     ("d.conll", "x\t4\t4\tO\tNIL\t-\n", "line 1: empty or inverted span 4 4"),
     ("d.conll", "x\t0\t5\tO\tNIL\t-\r\ny\t3\t8\tO\tNIL\t-\n",
@@ -318,7 +324,12 @@ _ROW = "x\t0\t1\tO\tNIL\t-\n"
     ("d.ann", "T1\tX:1 0 5;6\talpha\n", "line 1: bad fragment '6'"),
     ("d.ann", "T1\tX:1 0 x\talpha\n", "line 1: non-integer offsets in '0 x'"),
     ("d.ann", "T1\tX:1 5 2\talpha\n", "line 1: empty or inverted span 5 2"),
-    ("d.ann", "T1\tX:1 -1 2\talpha\n", "line 1: empty or inverted span -1 2"),
+    ("d.ann", "T1\tX:1 -1 2\talpha\n", "line 1: non-integer offsets in '-1 2'"),
+    ("d.ann", "T1\tX:1 0 +10\talpha beta\n", "line 1: non-integer offsets in '0 +10'"),
+    ("d.ann", "T1\tX:1 0  3\talp\n", "line 1: non-integer offsets in '0  3'"),
+    ("d.ann", "T1\tX:1 0 1_0\talpha beta\n",
+     "line 1: non-integer offsets in '0 1_0'"),
+    ("d.ann", "T1\tX:1 \u0663 5\tha\n", "line 1: non-integer offsets in '\u0663 5'"),
     ("d.ann", "#1\tnote\rT1\tX:1 6 11\tbeta\n",
      "line 2: offset 11 beyond text length 10"),
     ("d.ann", "T1\tX:1 0 5;3 8\talpha\n",

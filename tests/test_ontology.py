@@ -136,6 +136,13 @@ class TestParseObo:
         assert [r.getMessage() for r in caplog.records] == [
             "d.obo:line 9: repeated id X:1 replaces the earlier stanza"]
 
+    @pytest.mark.parametrize("line", ["id:", "id: ! note", "id:  \t"])
+    def test_empty_id_is_an_error(self, line):
+        text = f"[Term]\nid: X:1\n\n[Term]\n{line}\nname: y\n"
+        with pytest.raises(ParseError) as info:
+            parse_obo(text, source="e.obo")
+        assert str(info.value) == "e.obo:line 5: empty id"
+
     def test_cycle_error_names_the_file(self):
         text = "[Term]\nid: X:1\nis_a: X:2\n\n[Term]\nid: X:2\nis_a: X:1\n"
         with pytest.raises(ParseError) as info:
@@ -166,7 +173,8 @@ _OBO_LINE = st.one_of(
     st.sampled_from(["", "  ", "! comment", "format-version: 1.2", "xref: X:1",
                      'def: "text ! here" []', "is_a:", "synonym: unquoted",
                      "[Typedef]", "namespace: n", "subset: s", "id : X:4",
-                     "is_anonymous: true", 'synonyms: "x" []', "name : y"]),
+                     "is_anonymous: true", 'synonyms: "x" []', "name : y",
+                     "id:", "id: ! note"]),
     st.builds("id: {}{}".format, _CURIES, _COMMENT),
     st.builds("name: {}{}".format, _VALUE, _COMMENT),
     st.builds('synonym: "{}" EXACT []{}'.format, _QUOTED, _COMMENT),
