@@ -228,11 +228,21 @@ def read_text(path: str | Path) -> str:
     A CRLF stays two characters, as stand-off offsets count it. A file
     that is not UTF-8 is an error naming the file and the byte offset.
     """
+    return decode_text(read_bytes(path), path)
+
+
+def read_bytes(path: str | Path) -> bytes:
     try:
-        with open(path, encoding="utf-8", newline="") as f:
+        with open(path, "rb") as f:
             return f.read()
     except FileNotFoundError:
         raise ConceptKitError(f"missing file: {path}") from None
+
+
+def decode_text(data: bytes, path: str | Path) -> str:
+    """The text of the bytes `data` of the file at `path`, as `read_text`."""
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConceptKitError(f"{path}: {exc}") from None
 

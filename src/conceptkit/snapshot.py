@@ -12,9 +12,13 @@ an index snapshot the index's dict. Within one marshal record an object
 that several entries share is written once, so the load keeps the
 sharing of CURIEs and index tokens that the parse built; unshared
 columns are records of their own, so that writing one never holds a
-table of every object in the graph. Its key is the SHA-256
-of `FORMAT`, the path string and the file's bytes; an index snapshot's
-key also covers the extra synonym pairs. Snapshots live in
+table of every object in the graph.
+
+Its key is the SHA-256 of `FORMAT`, the code that builds it (the source
+of every conceptkit module, the Python version and its Unicode
+database), the path string and the file's bytes; an index snapshot's key
+also covers the extra synonym pairs. The file is read once: the bytes
+that are hashed are the bytes that a miss parses. Snapshots live in
 `$XDG_CACHE_HOME/conceptkit`, else `~/.cache/conceptkit`, and only the
 `KEEP` newest are kept. A snapshot that cannot be read, has the wrong
 shape or cannot be written falls back to the parse, and nothing is
@@ -29,11 +33,13 @@ from __future__ import annotations
 import logging
 import marshal
 import os
+import sys
+import unicodedata
 from pathlib import Path
 
 from .dicttag import TermIndex, build_index
 from .errors import ConceptKitError
-from .formats import read_text
+from .formats import decode_text, read_bytes
 from .ontology import Concept, OntologyGraph, parse_obo
 
 logger = logging.getLogger(__name__)
@@ -44,41 +50,62 @@ FORMAT = f"conceptkit snapshot 1, marshal {marshal.version}"
 KEEP = 40
 #: The loggers whose warnings a snapshot holds.
 _LOGGERS = ("conceptkit.ontology", "conceptkit.dicttag")
+#: The directory whose modules' source every key covers.
+_PACKAGE = Path(__file__).parent
 
 
 def load_graph(path: str) -> OntologyGraph:
     """`parse_obo` of the OBO file at `path`, with its warnings; read
     from the file's snapshot when there is one."""
-    keys = _attempt("key", _keys, path, ())
-    graph = keys and _attempt("read", _read, "graph", keys[0])
-    if graph is not None:
-        return graph
-    graph, warnings = _recorded(
-        lambda: parse_obo(read_text(Path(path)), source=path))
-    if keys and warnings is not None:
-        concepts = [graph[curie] for curie in graph]
-        # the CURIEs and the is_a edges that name them share one record
-        _attempt("write", _write, "graph", keys[0], [
-            (list(graph), [c.parents for c in concepts]),
-            ([c.name for c in concepts],), ([c.synonyms for c in concepts],),
-            ([c.obsolete for c in concepts],)], warnings)
-    return graph
+    return _load(path, None)
 
 
 def load_index(path: str, extra: list[tuple[str, str]] = ()) -> TermIndex:
     """`build_index` of the OBO file at `path` with the `extra` synonym
     pairs, with the warnings of both steps. A snapshot hit loads the
     index without the graph."""
-    keys = _attempt("key", _keys, path, extra)
-    index = keys and _attempt("read", _read, "index", keys[1])
-    if index is not None:
-        return index
-    # the graph is build_index's argument alone, so it is freed before
-    # the index is written: the write then fits in the parse's peak memory
-    index, warnings = _recorded(lambda: build_index(load_graph(path), extra))
-    if keys and warnings is not None:
-        _attempt("write", _write, "index", keys[1], [(index.entries,)], warnings)
+    return _load(path, extra)
+
+
+def _load(path: str, extra):
+    """The graph of the OBO file at `path` or, unless `extra` is None,
+    its index. The file's bytes, its text and the graph are each dropped
+    once no later step needs them, so that the parse and each write do
+    not hold them all."""
+    data = read_bytes(path)
+    keys = _attempt("key", _keys, path, data, extra or ())
+    if extra is not None:
+        index = keys and _attempt("read", _read, "index", keys[1])
+        if index is not None:
+            return index
+    with _Recorder() as index_warnings:
+        graph = keys and _attempt("read", _read, "graph", keys[0])
+        if graph is None:
+            text, data = decode_text(data, path), None
+            with _Recorder() as warnings:
+                graph = parse_obo(text, source=path)
+            text = None
+            if keys and warnings.heard():
+                _attempt("write", _write, "graph", keys[0], _columns(graph),
+                         warnings.records)
+        if extra is None:
+            return graph
+        data = None
+        index = build_index(graph, extra)
+        graph = None
+    if keys and index_warnings.heard():
+        _attempt("write", _write, "index", keys[1], [(index.entries,)],
+                 index_warnings.records)
     return index
+
+
+def _columns(graph: OntologyGraph) -> list:
+    """The blocks of columns of a graph snapshot."""
+    concepts = [graph[curie] for curie in graph]
+    # the CURIEs and the is_a edges that name them share one record
+    return [(list(graph), [c.parents for c in concepts]),
+            ([c.name for c in concepts],), ([c.synonyms for c in concepts],),
+            ([c.obsolete for c in concepts],)]
 
 
 def _attempt(step: str, function, *args):
@@ -93,8 +120,9 @@ def _attempt(step: str, function, *args):
         return None
 
 
-def _keys(path: str, extra) -> tuple[str, str]:
-    """The graph key and the index key of the OBO file at `path`."""
+def _keys(path: str, data: bytes, extra) -> tuple[str, str]:
+    """The graph key and the index key of the OBO file at `path` whose
+    bytes are `data`."""
     # CPython's own SHA-256 (_sha2 from 3.12, _sha256 before): hashlib's
     # loads OpenSSL, 3.6 MB more resident memory in every command here
     for module in ("_sha2", "_sha256", "hashlib"):
@@ -103,10 +131,14 @@ def _keys(path: str, extra) -> tuple[str, str]:
             break
         except ImportError:
             continue
-    digest = sha256(f"{FORMAT}\0".encode() + os.fsencode(path) + b"\0")
-    with open(path, "rb") as f:
-        while chunk := f.read(1 << 16):
-            digest.update(chunk)
+    digest = sha256(f"{FORMAT}\0{sys.version}\0{unicodedata.unidata_version}"
+                    "\0".encode())
+    for source in sorted(_PACKAGE.glob("*.py")):
+        code = source.read_bytes()
+        digest.update(f"{source.name} {len(code)}\0".encode())
+        digest.update(code)
+    digest.update(os.fsencode(path) + b"\0")
+    digest.update(data)
     graph_key = digest.hexdigest()
     pairs = repr([tuple(pair) for pair in extra])
     return graph_key, sha256(f"{graph_key}\0{pairs}".encode()).hexdigest()
@@ -175,6 +207,8 @@ def _write(part: str, key: str, blocks: list, warnings: list) -> None:
 
 
 class _Recorder(logging.Handler):
+    """The warnings that the snapshot loggers log within a `with` block."""
+
     def __init__(self):
         super().__init__()
         self.records = []
@@ -183,18 +217,18 @@ class _Recorder(logging.Handler):
         self.records.append((record.name, record.levelno, record.msg,
                              record.args))
 
+    def __enter__(self):
+        for name in _LOGGERS:
+            logging.getLogger(name).addHandler(self)
+        return self
 
-def _recorded(build):
-    """build() and the warnings it logged, or None in place of the
-    warnings when a logger would not have passed one on."""
-    recorder = _Recorder()
-    loggers = [logging.getLogger(name) for name in _LOGGERS]
-    for each in loggers:
-        each.addHandler(recorder)
-    try:
-        result = build()
-    finally:
-        for each in loggers:
-            each.removeHandler(recorder)
-    heard = all(each.isEnabledFor(logging.WARNING) for each in loggers)
-    return result, recorder.records if heard else None
+    def __exit__(self, *exc_info):
+        for name in _LOGGERS:
+            logging.getLogger(name).removeHandler(self)
+
+    @staticmethod
+    def heard() -> bool:
+        """Whether every logger passes a warning on, so that the records
+        hold every warning."""
+        return all(logging.getLogger(name).isEnabledFor(logging.WARNING)
+                   for name in _LOGGERS)

@@ -1,6 +1,10 @@
 import logging
 import marshal
 import os
+import shutil
+import sys
+import unicodedata
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +139,72 @@ def test_path_is_part_of_the_key(obo, tmp_path, snapshot_cache):
     _, warnings = load(snapshot.load_graph, str(other))
     assert all(str(other) in message for _, _, message in warnings)
     assert snapshots(snapshot_cache) == ["graph", "graph"]
+
+
+def counted_parse(monkeypatch):
+    """The list that each parse_obo call of the snapshot module adds to."""
+    parses = []
+
+    def parse(*args, **kwargs):
+        parses.append(args)
+        return parse_obo(*args, **kwargs)
+
+    monkeypatch.setattr(snapshot, "parse_obo", parse)
+    return parses
+
+
+def test_changed_code_is_a_miss(obo, tmp_path, snapshot_cache, monkeypatch):
+    package = tmp_path / "package"
+    shutil.copytree(Path(snapshot.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(snapshot, "_PACKAGE", package)
+    parses = counted_parse(monkeypatch)
+    snapshot.load_graph(obo)
+    snapshot.load_graph(obo)
+    assert len(parses) == 1
+    with open(package / "ontology.py", "a", encoding="utf-8") as f:
+        f.write("# another parser\n")
+    snapshot.load_graph(obo)
+    assert len(parses) == 2
+    monkeypatch.setattr(unicodedata, "unidata_version", "0.0.0")
+    snapshot.load_graph(obo)
+    assert len(parses) == 3
+    monkeypatch.setattr(sys, "version", "0.0.0")
+    snapshot.load_graph(obo)
+    assert len(parses) == 4
+    assert snapshots(snapshot_cache) == ["graph"] * 4
+
+
+def test_each_load_reads_and_hashes_the_file_once(obo, monkeypatch):
+    calls = []
+    read, keys = snapshot.read_bytes, snapshot._keys
+    monkeypatch.setattr(snapshot, "read_bytes",
+                        lambda path: calls.append("read") or read(path))
+    monkeypatch.setattr(snapshot, "_keys",
+                        lambda *args: calls.append("hash") or keys(*args))
+    for loader, *args in [
+            (snapshot.load_index, obo, EXTRA),  # index and graph miss
+            (snapshot.load_index, obo, []),  # index miss, graph hit
+            (snapshot.load_graph, obo),  # graph hit
+            (snapshot.load_index, obo, EXTRA)]:  # index hit
+        calls.clear()
+        loader(*args)
+        assert calls == ["read", "hash"]
+
+
+def test_file_edited_during_a_miss_keeps_its_snapshot_apart(obo, monkeypatch):
+    read = snapshot.read_bytes
+
+    def read_then_edit(path):
+        data = read(path)
+        Path(path).write_text(WARNING_OBO.replace("stem", "Stem"),
+                              encoding="utf-8")
+        return data
+
+    monkeypatch.setattr(snapshot, "read_bytes", read_then_edit)
+    assert snapshot.load_graph(obo)["W:1"].name == "stem cell"
+    monkeypatch.setattr(snapshot, "read_bytes", read)
+    assert snapshot.load_graph(obo)["W:1"].name == "Stem cell"
 
 
 @pytest.mark.parametrize("damage", [
