@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import ParseError
 from .formats import split_lines
@@ -62,16 +62,18 @@ def normalize_term(term: str) -> list[str]:
             for t in _TOKEN_RE.findall(s)]
 
 
-@dataclass(frozen=True)
-class TermIndex:
-    """Normalised term sequences mapped to their candidate CURIEs."""
+class TermIndex(namedtuple("TermIndex", "entries max_len")):
+    """Normalised term sequences mapped to their candidate CURIEs, and
+    the longest key's length. Its len() and `in` refer to the entries,
+    not to its two fields."""
 
-    entries: dict[tuple[str, ...], tuple[str, ...]]
-    max_len: int = field(init=False, default=0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.entries:
-            object.__setattr__(self, "max_len", max(map(len, self.entries)))
+    def __new__(cls, entries: dict[tuple[str, ...], tuple[str, ...]]):
+        return tuple.__new__(cls, (entries, max(map(len, entries), default=0)))
+
+    def __getnewargs__(self) -> tuple[dict]:
+        return (self.entries,)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import Annotation, Document, char_jaccard
 from .ontology import DEFAULT_DECAY, OntologyGraph, wang_similarity
@@ -20,19 +20,18 @@ from .ontology import DEFAULT_DECAY, OntologyGraph, wang_similarity
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class EvalCounts:
+class EvalCounts(namedtuple("EvalCounts",
+                            "matches substitutions insertions deletions",
+                            defaults=(0.0, 0.0, 0, 0))):
     """Fractional matches and substitutions plus insertion/deletion counts.
 
     Bookkeeping identities: matches + substitutions + deletions equals
     the number of references, matches + substitutions + insertions the
-    number of predictions. Aggregation over documents is plain addition.
+    number of predictions. Aggregation over documents is plain addition
+    of the counts, not tuple concatenation.
     """
 
-    matches: float = 0.0
-    substitutions: float = 0.0
-    insertions: int = 0
-    deletions: int = 0
+    __slots__ = ()
 
     def __add__(self, other: "EvalCounts") -> "EvalCounts":
         return EvalCounts(

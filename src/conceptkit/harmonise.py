@@ -21,7 +21,7 @@ block whose tokens share no candidate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .codec import block_annotation, iter_blocks
@@ -39,13 +39,9 @@ class HarmonisationStrategy(str, Enum):
     IDS_FIRST = "ids-first"
 
 
-@dataclass(frozen=True)
-class TokenPrediction:
-    """The three prediction sources for one token."""
-
-    span_tag: SpanTag
-    nn_id: str = NIL
-    dict_ids: tuple[str, ...] = ()
+#: The three prediction sources for one token.
+TokenPrediction = namedtuple("TokenPrediction", "span_tag nn_id dict_ids",
+                             defaults=(NIL, ()))
 
 
 #: Sources each strategy consults per token, highest precedence first.

@@ -1,14 +1,15 @@
 """Core domain types: spans, annotations, documents, token labels.
 
 Offsets are 0-based Unicode code-point indices into the document text,
-start inclusive, end exclusive. All types are immutable after construction
-and safe to share across threads.
+start inclusive, end exclusive. The value types are named tuples that
+check their fields on construction: immutable, safe to share across
+threads, and equal to a plain tuple of the same fields.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
 
 #: Label marking non-entity tokens in the concept-ID column.
@@ -30,23 +31,27 @@ class SpanTag(str, Enum):
         return self is not SpanTag.O
 
 
-@dataclass(frozen=True, order=True)
-class TextSpan:
-    """Character interval [start, end) within a document."""
+class TextSpan(namedtuple("TextSpan", "start end")):
+    """Character interval [start, end) within a document; its len() is
+    the span's length, not its number of fields."""
 
-    start: int
-    end: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.start < 0 or self.start >= self.end:
-            raise ValueError(f"empty or inverted span {self.start} {self.end}")
+    def __new__(cls, start: int, end: int):
+        if start < 0 or start >= end:
+            raise ValueError(f"empty or inverted span {start} {end}")
+        return tuple.__new__(cls, (start, end))
 
     def __len__(self) -> int:
         return self.end - self.start
 
+    # namedtuple's own returns tuple(self), whose buffer is sized by
+    # len(): a span's length
+    def __getnewargs__(self) -> tuple[int, int]:
+        return self.start, self.end
 
-@dataclass(frozen=True, order=True)
-class Annotation:
+
+class Annotation(namedtuple("Annotation", "concept_id spans")):
     """One concept mention: a CURIE plus one or more character spans.
 
     More than one span marks a discontinuous mention. Spans are kept
@@ -54,19 +59,19 @@ class Annotation:
     `Document.covered_text(ann)`.
     """
 
-    concept_id: str
-    spans: tuple[TextSpan, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.concept_id or self.concept_id == NIL:
-            raise ValueError(f"invalid concept id {self.concept_id!r}")
-        if not isinstance(self.spans, tuple):
-            object.__setattr__(self, "spans", tuple(self.spans))
-        if not self.spans:
+    def __new__(cls, concept_id: str, spans: tuple[TextSpan, ...]):
+        if not concept_id or concept_id == NIL:
+            raise ValueError(f"invalid concept id {concept_id!r}")
+        if not isinstance(spans, tuple):
+            spans = tuple(spans)
+        if not spans:
             raise ValueError("annotation needs at least one span")
-        for prev, cur in zip(self.spans, self.spans[1:]):
+        for prev, cur in zip(spans, spans[1:]):
             if cur.start < prev.end:
-                raise ValueError(f"spans out of order or overlapping: {self.spans}")
+                raise ValueError(f"spans out of order or overlapping: {spans}")
+        return tuple.__new__(cls, (concept_id, spans))
 
     @property
     def start(self) -> int:
@@ -86,8 +91,7 @@ class Annotation:
         return len(self.spans) > 1
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(namedtuple("Document", "doc_id text annotations")):
     """A text with its concept annotations.
 
     Annotations of distinct concepts may overlap and may be
@@ -95,47 +99,45 @@ class Document:
     to token-compatible form.
     """
 
-    doc_id: str
-    text: str
-    annotations: tuple[Annotation, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.annotations, tuple):
-            object.__setattr__(self, "annotations", tuple(self.annotations))
-        for ann in self.annotations:
-            if ann.end > len(self.text):
+    def __new__(cls, doc_id: str, text: str,
+                annotations: tuple[Annotation, ...] = ()):
+        if not isinstance(annotations, tuple):
+            annotations = tuple(annotations)
+        for ann in annotations:
+            if ann.end > len(text):
                 raise ValueError(
                     f"annotation {ann.concept_id} at {ann.spans} exceeds "
-                    f"text length {len(self.text)} in {self.doc_id}"
+                    f"text length {len(text)} in {doc_id}"
                 )
+        return tuple.__new__(cls, (doc_id, text, annotations))
 
     def covered_text(self, ann: Annotation) -> str:
         """Text of each fragment, joined with ' ... ' for discontinuous mentions."""
         return " ... ".join(self.text[s.start:s.end] for s in ann.spans)
 
 
-@dataclass(frozen=True)
-class ConllRow:
+class ConllRow(namedtuple("ConllRow",
+                          "token span span_tag id_tag dict_features")):
     """One token with its offsets, span tag, ID tag, and dictionary features.
 
     Each token carries exactly one span tag and one ID tag. Dictionary
     features are deduplicated and kept sorted.
     """
 
-    token: str
-    span: TextSpan
-    span_tag: SpanTag = SpanTag.O
-    id_tag: str = NIL
-    dict_features: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.id_tag:
+    def __new__(cls, token: str, span: TextSpan, span_tag: SpanTag = SpanTag.O,
+                id_tag: str = NIL, dict_features: tuple[str, ...] = ()):
+        if not id_tag:
             raise ValueError("empty id tag")
-        if not self.token:
+        if not token:
             raise ValueError("empty token")
-        feats = tuple(sorted(set(self.dict_features)))
-        if feats != self.dict_features:
-            object.__setattr__(self, "dict_features", feats)
+        if dict_features != ():
+            dict_features = tuple(sorted(set(dict_features)))
+        return tuple.__new__(cls, (token, span, span_tag, id_tag,
+                                   dict_features))
 
 
 def _intersection_size(a: Iterable[TextSpan], b: Iterable[TextSpan]) -> int:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import logging
 import re
-from collections import deque
-from dataclasses import dataclass, replace
+from collections import deque, namedtuple
 from itertools import chain
 
 from .errors import ParseError
@@ -49,12 +48,8 @@ def _unescape(value: str) -> str:
     return _ESCAPE_RE.sub(lambda m: _ESCAPED.get(m[1], m[1]), value)
 
 
-@dataclass(frozen=True)
-class Concept:
-    name: str
-    synonyms: tuple[str, ...] = ()
-    parents: tuple[str, ...] = ()
-    obsolete: bool = False
+Concept = namedtuple("Concept", "name synonyms parents obsolete",
+                     defaults=((), (), False))
 
 
 class OntologyGraph:
@@ -198,7 +193,7 @@ def parse_obo(text: str, source: str = "") -> OntologyGraph:
             logger.warning("%s: dropping dangling is_a %s -> %s",
                            source or "obo", curie, ", ".join(dropped))
             valid = tuple(p for p in concept.parents if p in concepts)
-            concepts[curie] = replace(concept, parents=valid)
+            concepts[curie] = concept._replace(parents=valid)
     try:
         return OntologyGraph(concepts)
     except ParseError as exc:

@@ -172,7 +172,7 @@ def _read(part: str, key: str):
     if part == "graph":
         curies, parents, names, synonyms, obsolete = columns
         result = OntologyGraph(dict(zip(curies, map(
-            Concept, names, synonyms, parents, obsolete))))
+            Concept._make, zip(names, synonyms, parents, obsolete)))))
     else:
         (entries,) = columns
         if type(entries) is not dict:

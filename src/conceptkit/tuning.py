@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import islice
 
 from .codec import block_concept, block_tags, iter_blocks
@@ -32,12 +31,10 @@ STRATEGY_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class FoldPlan:
+class FoldPlan(namedtuple("FoldPlan", "k assignment")):
     """Partition of document IDs into k folds of near-equal size."""
 
-    k: int
-    assignment: dict[str, int]
+    __slots__ = ()
 
     def fold_docs(self, fold: int) -> list[str]:
         return sorted(d for d, f in self.assignment.items() if f == fold)
@@ -56,12 +53,8 @@ def make_folds(doc_ids: list[str], k: int, seed: int = 0) -> FoldPlan:
     return FoldPlan(k, {doc_id: i % k for i, doc_id in enumerate(ids)})
 
 
-@dataclass(frozen=True)
-class StrategyResult:
-    strategy: HarmonisationStrategy
-    mean_f: float
-    mean_ser: float
-    fold_counts: tuple[EvalCounts, ...]
+StrategyResult = namedtuple("StrategyResult",
+                            "strategy mean_f mean_ser fold_counts")
 
 
 _worker_context = None  # (tasks, graph, decay), set in each worker by _init_worker

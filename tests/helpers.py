@@ -7,6 +7,7 @@ import random
 import re
 import unicodedata
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 from conceptkit import (NIL, Annotation, ConllRow, Document, OntologyGraph,
                         ParseError, SpanTag, TermIndex, TextSpan, parse_obo,
@@ -632,3 +633,203 @@ def span_favouring_corpus(n_docs=12):
         gold[f"doc{d:02d}"] = anns
         predictions[f"doc{d:02d}"] = [rows_from_tuples(rows)]
     return gold, predictions
+
+
+def _frozen_dataclasses() -> dict[str, type]:
+    """The ten frozen dataclasses that the named-tuple value types
+    replaced, verbatim, as oracles for the value types' constructor
+    checks, repr, hash, equality and ordering. Each class is named as
+    the type it stands for, so that the two reprs can be compared."""
+
+    @dataclass(frozen=True, order=True)
+    class TextSpan:
+        """Character interval [start, end) within a document."""
+
+        start: int
+        end: int
+
+        def __post_init__(self):
+            if self.start < 0 or self.start >= self.end:
+                raise ValueError(f"empty or inverted span {self.start} {self.end}")
+
+        def __len__(self) -> int:
+            return self.end - self.start
+
+    @dataclass(frozen=True, order=True)
+    class Annotation:
+        """One concept mention: a CURIE plus one or more character spans.
+
+        More than one span marks a discontinuous mention. Spans are kept
+        sorted and must not overlap each other. The mention's text is
+        `Document.covered_text(ann)`.
+        """
+
+        concept_id: str
+        spans: tuple[TextSpan, ...]
+
+        def __post_init__(self):
+            if not self.concept_id or self.concept_id == NIL:
+                raise ValueError(f"invalid concept id {self.concept_id!r}")
+            if not isinstance(self.spans, tuple):
+                object.__setattr__(self, "spans", tuple(self.spans))
+            if not self.spans:
+                raise ValueError("annotation needs at least one span")
+            for prev, cur in zip(self.spans, self.spans[1:]):
+                if cur.start < prev.end:
+                    raise ValueError(f"spans out of order or overlapping: {self.spans}")
+
+        @property
+        def start(self) -> int:
+            return self.spans[0].start
+
+        @property
+        def end(self) -> int:
+            return self.spans[-1].end
+
+        @property
+        def length(self) -> int:
+            """Total number of covered characters."""
+            return sum(len(s) for s in self.spans)
+
+        @property
+        def discontinuous(self) -> bool:
+            return len(self.spans) > 1
+
+    @dataclass(frozen=True)
+    class Document:
+        """A text with its concept annotations.
+
+        Annotations of distinct concepts may overlap and may be
+        discontinuous; simplification (see the simplify module) reduces them
+        to token-compatible form.
+        """
+
+        doc_id: str
+        text: str
+        annotations: tuple[Annotation, ...] = ()
+
+        def __post_init__(self):
+            if not isinstance(self.annotations, tuple):
+                object.__setattr__(self, "annotations", tuple(self.annotations))
+            for ann in self.annotations:
+                if ann.end > len(self.text):
+                    raise ValueError(
+                        f"annotation {ann.concept_id} at {ann.spans} exceeds "
+                        f"text length {len(self.text)} in {self.doc_id}"
+                    )
+
+        def covered_text(self, ann: Annotation) -> str:
+            """Text of each fragment, joined with ' ... ' for discontinuous mentions."""
+            return " ... ".join(self.text[s.start:s.end] for s in ann.spans)
+
+    @dataclass(frozen=True)
+    class ConllRow:
+        """One token with its offsets, span tag, ID tag, and dictionary features.
+
+        Each token carries exactly one span tag and one ID tag. Dictionary
+        features are deduplicated and kept sorted.
+        """
+
+        token: str
+        span: TextSpan
+        span_tag: SpanTag = SpanTag.O
+        id_tag: str = NIL
+        dict_features: tuple[str, ...] = ()
+
+        def __post_init__(self):
+            if not self.id_tag:
+                raise ValueError("empty id tag")
+            if not self.token:
+                raise ValueError("empty token")
+            feats = tuple(sorted(set(self.dict_features)))
+            if feats != self.dict_features:
+                object.__setattr__(self, "dict_features", feats)
+
+    @dataclass(frozen=True)
+    class Concept:
+        name: str
+        synonyms: tuple[str, ...] = ()
+        parents: tuple[str, ...] = ()
+        obsolete: bool = False
+
+    @dataclass(frozen=True)
+    class EvalCounts:
+        """Fractional matches and substitutions plus insertion/deletion counts.
+
+        Bookkeeping identities: matches + substitutions + deletions equals
+        the number of references, matches + substitutions + insertions the
+        number of predictions. Aggregation over documents is plain addition.
+        """
+
+        matches: float = 0.0
+        substitutions: float = 0.0
+        insertions: int = 0
+        deletions: int = 0
+
+        def __add__(self, other: "EvalCounts") -> "EvalCounts":
+            return EvalCounts(
+                self.matches + other.matches,
+                self.substitutions + other.substitutions,
+                self.insertions + other.insertions,
+                self.deletions + other.deletions,
+            )
+
+        @property
+        def reference_total(self) -> float:
+            return self.matches + self.substitutions + self.deletions
+
+        @property
+        def prediction_total(self) -> float:
+            return self.matches + self.substitutions + self.insertions
+
+    @dataclass(frozen=True)
+    class TokenPrediction:
+        """The three prediction sources for one token."""
+
+        span_tag: SpanTag
+        nn_id: str = NIL
+        dict_ids: tuple[str, ...] = ()
+
+    @dataclass(frozen=True)
+    class FoldPlan:
+        """Partition of document IDs into k folds of near-equal size."""
+
+        k: int
+        assignment: dict[str, int]
+
+        def fold_docs(self, fold: int) -> list[str]:
+            return sorted(d for d, f in self.assignment.items() if f == fold)
+
+    @dataclass(frozen=True)
+    class StrategyResult:
+        strategy: HarmonisationStrategy
+        mean_f: float
+        mean_ser: float
+        fold_counts: tuple[EvalCounts, ...]
+
+    @dataclass(frozen=True)
+    class TermIndex:
+        """Normalised term sequences mapped to their candidate CURIEs."""
+
+        entries: dict[tuple[str, ...], tuple[str, ...]]
+        max_len: int = field(init=False, default=0)
+
+        def __post_init__(self):
+            if self.entries:
+                object.__setattr__(self, "max_len", max(map(len, self.entries)))
+
+        def __len__(self) -> int:
+            return len(self.entries)
+
+        def __contains__(self, key: tuple[str, ...]) -> bool:
+            return key in self.entries
+
+    types = (TextSpan, Annotation, Document, ConllRow, Concept, EvalCounts,
+             TokenPrediction, FoldPlan, StrategyResult, TermIndex)
+    for cls in types:
+        cls.__qualname__ = cls.__name__
+    return {cls.__name__: cls for cls in types}
+
+
+#: The frozen dataclasses of `_frozen_dataclasses`, by name.
+DATACLASS_ORACLES = _frozen_dataclasses()

@@ -1,6 +1,9 @@
 """Checks on the package source that need no third-party linter."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,3 +103,15 @@ def test_each_reader_adds_file_and_line_in_one_place():
     raisers = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
                for name in line_error_raisers(path.read_text(encoding="utf-8"))]
     assert len(raisers) == len(set(raisers)), raisers
+
+
+def test_import_loads_no_dataclass_or_typing_machinery():
+    """Every command pays for what `import conceptkit.cli` loads.
+    `dataclasses` alone loads `inspect`, `ast` and `dis`; under -S no
+    site-packages `.pth` file preloads any of these first."""
+    code = ("import sys, conceptkit.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
+    assert result.stdout == "[]\n"
