@@ -84,12 +84,16 @@ class TermIndex(namedtuple("TermIndex", "entries max_len")):
 
 def build_index(graph: OntologyGraph,
                 extra_synonyms: list[tuple[str, str]] = ()) -> TermIndex:
-    """Index names and synonyms of all non-obsolete concepts.
+    """Index names and synonyms of all non-obsolete concepts of a graph
+    that holds its terms, such as `parse_obo`'s.
 
     `extra_synonyms` supplies additional (term, CURIE) pairs. Terms that
     normalise to nothing are skipped with a warning. Equal tokens are
     one string object, and keys with one CURIE share its value tuple.
     """
+    concepts = graph.concepts
+    if concepts is None:
+        raise ValueError("the graph holds no terms to index")
     entries: dict[tuple[str, ...], tuple[str, ...]] = {}
     intern = {}.setdefault
 
@@ -104,8 +108,8 @@ def build_index(graph: OntologyGraph,
         if ids[0] not in held:
             entries[key] = tuple(sorted(held + ids))
 
-    for curie in sorted(graph):
-        concept = graph[curie]
+    for curie in sorted(concepts):
+        concept = concepts[curie]
         if concept.obsolete:
             continue
         ids = (curie,)

@@ -48,50 +48,43 @@ def _unescape(value: str) -> str:
     return _ESCAPE_RE.sub(lambda m: _ESCAPED.get(m[1], m[1]), value)
 
 
-Concept = namedtuple("Concept", "name synonyms parents obsolete",
-                     defaults=((), (), False))
+#: The terms of a concept; its is_a parents are in the OntologyGraph.
+Concept = namedtuple("Concept", "name synonyms obsolete", defaults=((), False))
 
 
 class OntologyGraph:
-    """Immutable concept map with an acyclic is_a hierarchy."""
+    """Immutable acyclic is_a hierarchy: a mapping from each CURIE to the
+    tuple of its parents' CURIEs. `concepts` maps the same CURIEs to their
+    Concepts on a graph from `parse_obo`, else is None; do not modify it."""
 
-    def __init__(self, concepts: dict[str, Concept]):
-        self._concepts = dict(concepts)
-        self._check_acyclic()
-        self._depth_cache: dict[str, dict[str, int]] = {}
+    def __init__(self, parents: dict[str, tuple[str, ...]],
+                 concepts: dict[str, Concept] | None = None):
+        """Raise ValueError on an unknown parent or on `concepts` naming
+        other CURIEs, ParseError on a cycle."""
+        parents = dict(parents)
+        order = _topological_order(parents)
+        if concepts is not None:
+            concepts = dict(concepts)
+            if concepts.keys() != parents.keys():
+                raise ValueError("concepts and parents name other CURIEs")
+        self._parents, self.concepts, self._order = parents, concepts, order
+        self._depth_cache = {}
 
-    def _check_acyclic(self):
-        """Raise ValueError on an unknown parent, ParseError on a cycle."""
-        indegree = dict.fromkeys(self._concepts, 0)
-        for curie, concept in self._concepts.items():
-            for parent in concept.parents:
-                if parent not in indegree:
-                    raise ValueError(f"{curie}: unknown parent {parent}")
-                indegree[parent] += 1
-        queue = deque(c for c, d in indegree.items() if d == 0)
-        seen = 0
-        while queue:
-            cur = queue.popleft()
-            seen += 1
-            for parent in self._concepts[cur].parents:
-                indegree[parent] -= 1
-                if indegree[parent] == 0:
-                    queue.append(parent)
-        if seen != len(self._concepts):
-            cyclic = sorted(c for c, d in indegree.items() if d > 0)
-            raise ParseError(f"is_a cycle involving {', '.join(cyclic[:5])}")
+    def __reduce__(self):
+        # a pickle holds the hierarchy alone: workers score, they never index
+        return _hierarchy, (self._parents,)
 
     def __contains__(self, curie: str) -> bool:
-        return curie in self._concepts
+        return curie in self._parents
 
-    def __getitem__(self, curie: str) -> Concept:
-        return self._concepts[curie]
+    def __getitem__(self, curie: str) -> tuple[str, ...]:
+        return self._parents[curie]
 
     def __iter__(self):
-        return iter(self._concepts)
+        return iter(self._parents)
 
     def __len__(self) -> int:
-        return len(self._concepts)
+        return len(self._parents)
 
     def upward_depths(self, curie: str) -> dict[str, int]:
         """Shortest is_a distance from `curie` to each of its ancestors.
@@ -107,7 +100,7 @@ class OntologyGraph:
         queue = deque([curie])
         while queue:
             cur = queue.popleft()
-            for parent in self._concepts[cur].parents:
+            for parent in self._parents[cur]:
                 if parent not in depths:
                     depths[parent] = depths[cur] + 1
                     queue.append(parent)
@@ -122,8 +115,41 @@ class OntologyGraph:
         return frozenset(self.upward_depths(curie))
 
 
+def _hierarchy(parents: dict, concepts: dict | None = None,
+               order: list | None = None) -> OntologyGraph:
+    """The graph of a checked hierarchy, over these dicts themselves; a
+    snapshot write stores the `order` that the check found."""
+    graph = OntologyGraph.__new__(OntologyGraph)
+    graph._parents, graph.concepts, graph._order = parents, concepts, order
+    graph._depth_cache = {}
+    return graph
+
+
+def _topological_order(parents: dict[str, tuple[str, ...]]) -> list[str]:
+    """The CURIEs of the hierarchy `parents`, each before its parents
+    (Kahn's algorithm). Raise ValueError on an unknown parent, ParseError
+    on a cycle."""
+    indegree = dict.fromkeys(parents, 0)
+    for curie, curie_parents in parents.items():
+        for parent in curie_parents:
+            if parent not in indegree:
+                raise ValueError(f"{curie}: unknown parent {parent}")
+            indegree[parent] += 1
+    order = [c for c, d in indegree.items() if d == 0]
+    for cur in order:  # grows while it is read
+        for parent in parents[cur]:
+            indegree[parent] -= 1
+            if indegree[parent] == 0:
+                order.append(parent)
+    if len(order) != len(parents):
+        cyclic = sorted(c for c, d in indegree.items() if d > 0)
+        raise ParseError(f"is_a cycle involving {', '.join(cyclic[:5])}")
+    return order
+
+
 def parse_obo(text: str, source: str = "") -> OntologyGraph:
-    """Parse OBO flat-format [Term] stanzas into an ontology graph.
+    """Parse OBO flat-format [Term] stanzas into an ontology graph that
+    holds their concepts.
 
     Recognised keys: id, name, synonym, is_a, is_obsolete; everything
     else is ignored. Obsolete terms are loaded but flagged. Dangling
@@ -132,9 +158,10 @@ def parse_obo(text: str, source: str = "") -> OntologyGraph:
     warning. Lines end as `formats.split_lines` ends them, which also
     drops a leading byte order mark. A comment starts at the first "!"
     that no backslash escapes; names and synonyms decode the OBO 1.4
-    escapes. Each CURIE is one string object, shared by its key and every
+    escapes. Each CURIE is one string object, shared by its keys and every
     is_a edge that names it.
     """
+    hierarchy: dict[str, tuple[str, ...]] = {}
     concepts: dict[str, Concept] = {}
     intern = {}.setdefault
     in_term = False
@@ -150,9 +177,8 @@ def parse_obo(text: str, source: str = "") -> OntologyGraph:
                         logger.warning("%s:line %d: repeated id %s replaces the "
                                        "earlier stanza", source or "obo",
                                        stanza_line, curie)
-                    concepts[curie] = Concept(name, tuple(synonyms),
-                                              tuple(dict.fromkeys(parents)),
-                                              obsolete)
+                    hierarchy[curie] = tuple(dict.fromkeys(parents))
+                    concepts[curie] = Concept(name, tuple(synonyms), obsolete)
                 in_term = line == "[Term]"
                 curie, name, synonyms, parents, obsolete = None, "", [], [], False
                 stanza_line = lineno
@@ -187,17 +213,17 @@ def parse_obo(text: str, source: str = "") -> OntologyGraph:
     except ValueError as exc:
         raise ParseError(str(exc), line=lineno, source=source) from None
 
-    for curie, concept in concepts.items():
-        dropped = [p for p in concept.parents if p not in concepts]
+    for curie, curie_parents in hierarchy.items():
+        dropped = [p for p in curie_parents if p not in hierarchy]
         if dropped:
             logger.warning("%s: dropping dangling is_a %s -> %s",
                            source or "obo", curie, ", ".join(dropped))
-            valid = tuple(p for p in concept.parents if p in concepts)
-            concepts[curie] = concept._replace(parents=valid)
+            hierarchy[curie] = tuple(p for p in curie_parents if p in hierarchy)
     try:
-        return OntologyGraph(concepts)
+        order = _topological_order(hierarchy)
     except ParseError as exc:
         raise ParseError(str(exc), source=source) from None
+    return _hierarchy(hierarchy, concepts, order)
 
 
 def wang_similarity(graph: OntologyGraph, a: str, b: str,

@@ -7,10 +7,12 @@ built to a snapshot; a later load of the same file reads the snapshot.
 
 A snapshot is a `marshal` file, the format of Python's own `__pycache__`:
 loading one builds strings, tuples, lists, dicts and booleans and runs
-no code. A graph snapshot holds columns, one list per concept field, and
-an index snapshot the index's dict. Within one marshal record an object
-that several entries share is written once, so the load keeps the
-sharing of CURIEs and index tokens that the parse built; unshared
+no code. A graph snapshot holds columns: first the hierarchy (CURIEs,
+parents and a topological order), which is all that `load_graph` reads
+and checks, then one per term field, which an index miss reads too. An
+index snapshot holds the index's dict. Within one marshal record an
+object that several entries share is written once, so the load keeps
+the sharing of CURIEs and index tokens that the parse built; unshared
 columns are records of their own, so that writing one never holds a
 table of every object in the graph.
 
@@ -40,12 +42,12 @@ from pathlib import Path
 from .dicttag import TermIndex, build_index
 from .errors import ConceptKitError
 from .formats import decode_text, read_bytes
-from .ontology import Concept, OntologyGraph, parse_obo
+from .ontology import Concept, OntologyGraph, _hierarchy, parse_obo
 
 logger = logging.getLogger(__name__)
 
 #: Part of every key; a change to the layout of a snapshot changes it.
-FORMAT = f"conceptkit snapshot 1, marshal {marshal.version}"
+FORMAT = f"conceptkit snapshot 2, marshal {marshal.version}"
 #: Snapshot files kept: CRAFT's 20 annotation sets, a graph and an index each.
 KEEP = 40
 #: The loggers whose warnings a snapshot holds.
@@ -55,8 +57,8 @@ _PACKAGE = Path(__file__).parent
 
 
 def load_graph(path: str) -> OntologyGraph:
-    """`parse_obo` of the OBO file at `path`, with its warnings; read
-    from the file's snapshot when there is one."""
+    """The is_a hierarchy of `parse_obo` of the OBO file at `path`, with
+    its warnings; read from the file's snapshot when there is one."""
     return _load(path, None)
 
 
@@ -79,7 +81,8 @@ def _load(path: str, extra):
         if index is not None:
             return index
     with _Recorder() as index_warnings:
-        graph = keys and _attempt("read", _read, "graph", keys[0])
+        graph = keys and _attempt("read", _read, "graph", keys[0],
+                                  extra is not None)
         if graph is None:
             text, data = decode_text(data, path), None
             with _Recorder() as warnings:
@@ -89,7 +92,7 @@ def _load(path: str, extra):
                 _attempt("write", _write, "graph", keys[0], _columns(graph),
                          warnings.records)
         if extra is None:
-            return graph
+            return _hierarchy(graph._parents)
         data = None
         index = build_index(graph, extra)
         graph = None
@@ -100,10 +103,11 @@ def _load(path: str, extra):
 
 
 def _columns(graph: OntologyGraph) -> list:
-    """The blocks of columns of a graph snapshot."""
-    concepts = [graph[curie] for curie in graph]
-    # the CURIEs and the is_a edges that name them share one record
-    return [(list(graph), [c.parents for c in concepts]),
+    """The blocks of columns of a graph snapshot, the hierarchy first."""
+    parents = graph._parents
+    concepts = list(map(graph.concepts.__getitem__, parents))
+    # the CURIEs, the is_a edges and the order that name them share one record
+    return [(list(parents), list(parents.values()), graph._order),
             ([c.name for c in concepts],), ([c.synonyms for c in concepts],),
             ([c.obsolete for c in concepts],)]
 
@@ -114,8 +118,8 @@ def _attempt(step: str, function, *args):
     wrong shape fails with one of these errors."""
     try:
         return function(*args)
-    except (OSError, EOFError, ValueError, TypeError, RuntimeError,
-            ConceptKitError) as exc:
+    except (OSError, EOFError, ValueError, TypeError, KeyError,
+            RuntimeError, ConceptKitError) as exc:
         logger.debug("ontology snapshot %s failed: %r", step, exc)
         return None
 
@@ -151,28 +155,30 @@ def _cache_dir() -> Path:
             else Path.home() / ".cache") / "conceptkit"
 
 
-def _records(path: Path) -> list:
-    """The marshal records of a snapshot file; see `_write`."""
-    with open(path, "rb") as f:
-        data = memoryview(f.read())
+def _records(path: Path, count: int) -> list:
+    """The first `count` marshal records of a snapshot file, read without
+    the bytes of the later ones; see `_write`."""
     records = []
-    while data:
-        size = int.from_bytes(data[:8], "little")
-        records.append(marshal.loads(data[8:8 + size]))
-        data = data[8 + size:]
+    with open(path, "rb") as f:
+        most = os.fstat(f.fileno()).st_size  # bounds a damaged size
+        for _ in range(count):
+            size = int.from_bytes(f.read(8), "little")
+            records.append(marshal.loads(f.read(min(size, most))))
     return records
 
 
-def _read(part: str, key: str):
+def _read(part: str, key: str, terms: bool = False):
+    """The index or the graph stored under `key`, with concepts if `terms`."""
     stored_key, warnings, *blocks = _records(
-        _cache_dir() / f"{part}-{key}.marshal")
+        _cache_dir() / f"{part}-{key}.marshal", 6 if terms else 3)
     columns = [column for block in blocks for column in block]
     if stored_key != key or len(set(map(len, columns))) != 1:
         raise ValueError("not the expected snapshot")
     if part == "graph":
-        curies, parents, names, synonyms, obsolete = columns
-        result = OntologyGraph(dict(zip(curies, map(
-            Concept._make, zip(names, synonyms, parents, obsolete)))))
+        curies, parents, order, *fields = columns
+        concepts = (dict(zip(curies, map(Concept._make, zip(*fields))))
+                    if terms else None)
+        result = _hierarchy(_checked(curies, parents, order), concepts)
     else:
         (entries,) = columns
         if type(entries) is not dict:
@@ -181,6 +187,21 @@ def _read(part: str, key: str):
     for name, level, message, args in warnings:
         logging.getLogger(name).log(level, message, *args)
     return result
+
+
+def _checked(curies: list, parents: list, order: list) -> dict:
+    """The CURIE -> parents dict of a graph snapshot, checked in one pass
+    instead of Kahn's: read from its end, `order` must name each CURIE
+    once and after its parents, so that none is unknown or in a cycle."""
+    hierarchy = dict(zip(curies, parents))
+    done = set()  # a subset of the CURIEs: equal once it is as long
+    for curie in reversed(order):
+        if not done.issuperset(hierarchy[curie]):
+            raise ValueError("not a topological order")
+        done.add(curie)
+    if len(done) != len(curies) or not set(map(type, parents)) <= {tuple}:
+        raise ValueError("not the expected snapshot")
+    return hierarchy
 
 
 def _write(part: str, key: str, blocks: list, warnings: list) -> None:
@@ -200,9 +221,13 @@ def _write(part: str, key: str, blocks: list, warnings: list) -> None:
         os.replace(temporary, directory / name)
     finally:
         temporary.unlink(missing_ok=True)
-    snapshots = sorted(directory.glob("*.marshal"),
-                       key=lambda p: p.stat().st_mtime)
-    for stale in snapshots[:-KEEP]:
+    snapshots = []
+    for path in directory.glob("*.marshal"):
+        try:
+            snapshots.append((path.stat().st_mtime, path))
+        except FileNotFoundError:  # another command pruned it meanwhile
+            pass
+    for _, stale in sorted(snapshots)[:-KEEP]:
         stale.unlink(missing_ok=True)
 
 

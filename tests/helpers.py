@@ -362,6 +362,7 @@ def reference_parse_obo(text: str, source: str = "") -> OntologyGraph:
     mark, in warning about a repeated id, and in naming the file in the
     cycle error.
     """
+    parents: dict[str, tuple[str, ...]] = {}
     concepts: dict[str, Concept] = {}
     stanza: dict | None = None
 
@@ -369,10 +370,10 @@ def reference_parse_obo(text: str, source: str = "") -> OntologyGraph:
         if stanza is None or "id" not in stanza:
             return
         curie = stanza["id"]
+        parents[curie] = tuple(dict.fromkeys(stanza.get("parents", ())))
         concepts[curie] = Concept(
             name=stanza.get("name", ""),
             synonyms=tuple(stanza.get("synonyms", ())),
-            parents=tuple(dict.fromkeys(stanza.get("parents", ()))),
             obsolete=stanza.get("obsolete", False),
         )
 
@@ -407,15 +408,14 @@ def reference_parse_obo(text: str, source: str = "") -> OntologyGraph:
             stanza["obsolete"] = value.lower() == "true"
     flush()
 
-    for curie, concept in list(concepts.items()):
-        valid = tuple(p for p in concept.parents if p in concepts)
-        if valid != concept.parents:
-            dropped = [p for p in concept.parents if p not in concepts]
+    for curie, named in list(parents.items()):
+        valid = tuple(p for p in named if p in parents)
+        if valid != named:
+            dropped = [p for p in named if p not in parents]
             reference_logger.warning("%s: dropping dangling is_a %s -> %s",
                                      source or "obo", curie, ", ".join(dropped))
-            concepts[curie] = Concept(concept.name, concept.synonyms,
-                                      valid, concept.obsolete)
-    return OntologyGraph(concepts)
+            parents[curie] = valid
+    return OntologyGraph(parents, concepts)
 
 
 #: The characters `write_obo` escapes, with their OBO 1.4 escapes.
@@ -424,19 +424,20 @@ _OBO_ESCAPE = str.maketrans({"\\": "\\\\", "!": "\\!", '"': '\\"',
                              "\t": "\\t"})
 
 
-def write_obo(concepts: dict[str, Concept]) -> str:
-    """One [Term] stanza per concept. Names and synonyms escape
-    \\ ! " { } and the LF and tab; a comment follows each name and is_a.
-    `parse_obo` reads the same concepts back when no value holds a CR,
-    no name starts or ends with whitespace other than LF or tab, and
-    every parent is one of the concepts."""
+def write_obo(parents: dict[str, tuple[str, ...]],
+              concepts: dict[str, Concept]) -> str:
+    """One [Term] stanza per concept, with its `parents`. Names and
+    synonyms escape \\ ! " { } and the LF and tab; a comment follows
+    each name and is_a. `parse_obo` reads the same parents and concepts
+    back when no value holds a CR, no name starts or ends with whitespace
+    other than LF or tab, and every parent is one of the concepts."""
     stanzas = []
     for curie, concept in concepts.items():
         lines = ["[Term]", f"id: {curie}",
                  f"name: {concept.name.translate(_OBO_ESCAPE)} ! name"]
         lines += [f'synonym: "{synonym.translate(_OBO_ESCAPE)}" EXACT []'
                   for synonym in concept.synonyms]
-        lines += [f"is_a: {parent} ! parent" for parent in concept.parents]
+        lines += [f"is_a: {parent} ! parent" for parent in parents[curie]]
         if concept.obsolete:
             lines.append("is_obsolete: true")
         stanzas.append("\n".join(lines) + "\n")
@@ -475,8 +476,8 @@ def reference_build_index(graph: OntologyGraph,
             return
         collected.setdefault(key, set()).add(curie)
 
-    for curie in sorted(graph):
-        concept = graph[curie]
+    for curie in sorted(graph.concepts):
+        concept = graph.concepts[curie]
         if concept.obsolete:
             continue
         if concept.name:
@@ -637,9 +638,10 @@ def span_favouring_corpus(n_docs=12):
 
 def _frozen_dataclasses() -> dict[str, type]:
     """The ten frozen dataclasses that the named-tuple value types
-    replaced, verbatim, as oracles for the value types' constructor
-    checks, repr, hash, equality and ordering. Each class is named as
-    the type it stands for, so that the two reprs can be compared."""
+    replaced, verbatim but for `Concept`, which has lost its parents to
+    `OntologyGraph`, as oracles for the value types' constructor checks,
+    repr, hash, equality and ordering. Each class is named as the type it
+    stands for, so that the two reprs can be compared."""
 
     @dataclass(frozen=True, order=True)
     class TextSpan:
@@ -749,7 +751,6 @@ def _frozen_dataclasses() -> dict[str, type]:
     class Concept:
         name: str
         synonyms: tuple[str, ...] = ()
-        parents: tuple[str, ...] = ()
         obsolete: bool = False
 
     @dataclass(frozen=True)

@@ -73,6 +73,10 @@ class TestBuildIndex:
         graph = parse_obo("[Term]\nid: X:1\nname: gone\nis_obsolete: true\n")
         assert len(build_index(graph)) == 0
 
+    def test_a_hierarchy_alone_has_no_terms_to_index(self):
+        with pytest.raises(ValueError, match="no terms"):
+            build_index(OntologyGraph({"X:1": ()}))
+
     def test_unnormalisable_term_warned(self, caplog):
         graph = parse_obo("[Term]\nid: X:1\nname: something\n")
         with caplog.at_level("WARNING"):
@@ -251,7 +255,8 @@ _GRAPH = st.dictionaries(
     _CURIE,
     st.builds(Concept, name=_TERM, synonyms=st.lists(_TERM, max_size=3).map(tuple),
               obsolete=st.booleans()),
-    max_size=4).map(OntologyGraph)
+    max_size=4).map(lambda concepts: OntologyGraph(dict.fromkeys(concepts, ()),
+                                                   concepts))
 
 
 def _index_outcome(build, logger, graph, extra):

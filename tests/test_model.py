@@ -159,7 +159,7 @@ _KINDS = {
                       _ID_TAGS, _list_or_tuple(_CURIES)),
     "Concept": _make("Concept", 1, st.text(max_size=5),
                      st.lists(st.text(max_size=3), max_size=2).map(tuple),
-                     st.lists(_CURIES, max_size=2).map(tuple), st.booleans()),
+                     st.booleans()),
     "EvalCounts": _COUNTS,
     "TokenPrediction": _make("TokenPrediction", 1, st.sampled_from(SpanTag),
                              _ID_TAGS, st.lists(_CURIES, max_size=2).map(tuple)),

@@ -1,5 +1,6 @@
 import logging
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import conceptkit
-from conceptkit import ParseError, parse_obo, wang_similarity
+from conceptkit import OntologyGraph, ParseError, parse_obo, wang_similarity
 from conceptkit.ontology import Concept, _find_unescaped
 
 from helpers import (REFERENCE_SYNONYM_RE, chain_obo, collect_warnings,
@@ -40,24 +41,23 @@ is_a: D:R
 
 class TestParseObo:
     def test_basic_stanza(self, chain_graph):
-        concept = chain_graph["TEST:B"]
-        assert concept.name == "middle thing"
-        assert concept.parents == ("TEST:A",)
+        assert chain_graph.concepts["TEST:B"].name == "middle thing"
+        assert chain_graph["TEST:B"] == ("TEST:A",)
 
     def test_synonym_line(self):
         graph = parse_obo(
             '[Term]\nid: X:1\nname: stem cell\n'
             'synonym: "ES cell" EXACT []\nsynonym: "embryonic stem cell" RELATED []\n')
-        assert graph["X:1"].synonyms == ("ES cell", "embryonic stem cell")
+        assert graph.concepts["X:1"].synonyms == ("ES cell", "embryonic stem cell")
 
     def test_obsolete_flagged(self):
         graph = parse_obo("[Term]\nid: X:1\nname: gone\nis_obsolete: true\n")
-        assert graph["X:1"].obsolete
+        assert graph.concepts["X:1"].obsolete
 
     def test_dangling_is_a_dropped(self, caplog):
         with caplog.at_level("WARNING"):
             graph = parse_obo("[Term]\nid: X:1\nname: a\nis_a: X:NOPE\n")
-        assert graph["X:1"].parents == ()
+        assert graph["X:1"] == ()
         assert "dangling" in caplog.text
 
     def test_cycle_is_error(self):
@@ -94,17 +94,17 @@ class TestParseObo:
                 "is_anonymous: true\nidspace: Y\n")
         graph = parse_obo(text)
         assert list(graph) == ["X:1"]
-        assert graph["X:1"] == Concept("kept")
+        assert graph.concepts["X:1"] == Concept("kept")
 
     # str.splitlines would end the line inside each value
     def test_values_end_only_at_newline_or_carriage_return(self):
         graph = parse_obo('[Term]\nid: X:1\nname: alpha\x85beta\n'
                           'synonym: "ga\u2028mma" EXACT []\n')
-        assert graph["X:1"] == Concept("alpha\x85beta", ("ga\u2028mma",))
+        assert graph.concepts["X:1"] == Concept("alpha\x85beta", ("ga\u2028mma",))
 
     def test_escaped_bang_starts_no_comment(self):
         graph = parse_obo("[Term]\nid: X:1\nname: 5\\!-deoxy thing ! comment\n")
-        assert graph["X:1"].name == "5!-deoxy thing"
+        assert graph.concepts["X:1"].name == "5!-deoxy thing"
 
     @pytest.mark.parametrize("escaped, decoded", [
         ("back\\\\slash", "back\\slash"), ("tab\\there", "tab\there"),
@@ -115,14 +115,14 @@ class TestParseObo:
     def test_names_and_synonyms_decode_escapes(self, escaped, decoded):
         graph = parse_obo(f'[Term]\nid: X:1\nname: {escaped}\n'
                           f'synonym: "{escaped}" EXACT []\n')
-        assert graph["X:1"] == Concept(decoded, (decoded,))
+        assert graph.concepts["X:1"] == Concept(decoded, (decoded,))
 
     def test_leading_bom_keeps_the_first_stanza(self, caplog):
         text = "\ufeff[Term]\nid: X:1\nname: a\n\n[Term]\nid: X:2\nis_a: X:1\n"
         with caplog.at_level("WARNING"):
             graph = parse_obo(text)
         assert list(graph) == ["X:1", "X:2"]
-        assert graph["X:2"].parents == ("X:1",)
+        assert graph["X:2"] == ("X:1",)
         assert "dangling" not in caplog.text
 
     def test_repeated_id_later_stanza_wins_with_warning(self, caplog):
@@ -132,7 +132,7 @@ class TestParseObo:
         with caplog.at_level("WARNING"):
             graph = parse_obo(text, source="d.obo")
         assert list(graph) == ["X:1", "X:2"]
-        assert graph["X:1"].name == "second"
+        assert graph.concepts["X:1"].name == "second"
         assert [r.getMessage() for r in caplog.records] == [
             "d.obo:line 9: repeated id X:1 replaces the earlier stanza"]
 
@@ -156,9 +156,31 @@ class TestParseObo:
                 "[Term]\nid: X:3\nis_a: X:1 ! one\nis_a: X:2\n")
         graph = parse_obo(text)
         keys = {curie: curie for curie in graph}
-        parents = [p for curie in graph for p in graph[curie].parents]
+        parents = [p for curie in graph for p in graph[curie]]
         assert parents == ["X:1", "X:1", "X:2"]
         assert all(p is keys[p] for p in parents)
+
+
+class TestOntologyGraph:
+    def test_checks_its_hierarchy(self):
+        with pytest.raises(ValueError, match="X:1: unknown parent X:9"):
+            OntologyGraph({"X:1": ("X:9",)})
+        with pytest.raises(ParseError, match="is_a cycle involving X:1, X:2"):
+            OntologyGraph({"X:1": ("X:2",), "X:2": ("X:1",), "X:3": ()})
+        with pytest.raises(ValueError, match="name other CURIEs"):
+            OntologyGraph({"X:1": ()}, {"X:2": Concept("b")})
+
+    def test_pickle_holds_the_hierarchy_alone(self, small_tree):
+        small_tree.upward_depths("TR:0020")
+        data = pickle.dumps(small_tree)
+        assert b"node" not in data and b"syn" not in data
+        graph = pickle.loads(data)
+        assert graph.concepts is graph._order is None
+        assert graph._depth_cache == {}
+        assert [(c, graph[c]) for c in graph] == [
+            (c, small_tree[c]) for c in small_tree]
+        assert ([graph.upward_depths(c) for c in graph]
+                == [small_tree.upward_depths(c) for c in small_tree])
 
 
 _CURIES = st.sampled_from(["X:1", "X:2", "X:3", "X:4", "Y:9"])
@@ -229,7 +251,8 @@ def _outcome(parse, logger, text):
         except ParseError as exc:
             result = str(exc)
         else:
-            result = [(curie, graph[curie]) for curie in graph]
+            result = [(curie, graph[curie], graph.concepts[curie])
+                      for curie in graph]
     return result, [m for m in messages if "dangling" in m]
 
 
@@ -256,21 +279,24 @@ _NAMES = st.one_of(st.just(""), st.sampled_from(_OBO_CHARS),
 
 @st.composite
 def obo_concepts(draw):
-    """Up to six concepts, each naming some earlier ones as parents."""
-    concepts = {}
+    """Up to six concepts, each naming some earlier ones as parents: the
+    parents and the concepts."""
+    parents, concepts = {}, {}
     for k in range(draw(st.integers(0, 6))):
-        parents = draw(st.lists(st.sampled_from(list(concepts)),
-                                unique=True)) if concepts else []
+        parents[f"X:{k}"] = tuple(draw(st.lists(
+            st.sampled_from(list(concepts)), unique=True)) if concepts else [])
         concepts[f"X:{k}"] = Concept(
             draw(_NAMES), tuple(draw(st.lists(_INSIDE, max_size=3))),
-            tuple(parents), draw(st.booleans()))
-    return concepts
+            draw(st.booleans()))
+    return parents, concepts
 
 
 @given(obo_concepts())
-def test_written_obo_parses_back(concepts):
-    graph = parse_obo(write_obo(concepts))
-    assert [(curie, graph[curie]) for curie in graph] == list(concepts.items())
+def test_written_obo_parses_back(hierarchy):
+    parents, concepts = hierarchy
+    graph = parse_obo(write_obo(parents, concepts))
+    assert [(curie, graph[curie]) for curie in graph] == list(parents.items())
+    assert list(graph.concepts.items()) == list(concepts.items())
 
 
 class TestAncestors:

@@ -77,14 +77,30 @@ def no_parse(monkeypatch):
     monkeypatch.setattr(snapshot, "build_index", fail)
 
 
-def test_cold_and_warm_graphs_are_equal(obo, snapshot_cache, monkeypatch):
+def hierarchy(graph):
+    """What scoring reads of a graph: each CURIE's parents and depths,
+    and membership."""
+    return (items(graph), len(graph), "W:404" in graph,
+            [graph.upward_depths(curie) for curie in graph])
+
+
+def test_cold_and_warm_graphs_are_equal(obo, tmp_path, snapshot_cache,
+                                        monkeypatch):
+    """Cold, warm and uncached loads give the same hierarchy and warnings."""
     cold, cold_warnings = load(snapshot.load_graph, obo)
     assert snapshots(snapshot_cache) == ["graph"]
     no_parse(monkeypatch)
     warm, warm_warnings = load(snapshot.load_graph, obo)
-    assert items(warm) == items(cold)
-    assert items(cold) == items(parse_obo(WARNING_OBO, source=obo))
-    assert warm_warnings == cold_warnings
+    monkeypatch.setattr(snapshot, "parse_obo", parse_obo)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+    uncached, uncached_warnings = load(snapshot.load_graph, obo)
+    parsed = parse_obo(WARNING_OBO, source=obo)
+    assert (hierarchy(cold) == hierarchy(warm) == hierarchy(uncached)
+            == hierarchy(parsed))
+    assert items(parsed) == [("W:1", ()), ("W:2", ("W:1",)), ("W:3", ())]
+    assert cold.concepts is warm.concepts is uncached.concepts is None
+    assert warm_warnings == cold_warnings == uncached_warnings
     assert [m for _, _, m in cold_warnings] == [
         f"{obo}:line 16: repeated id W:2 replaces the earlier stanza",
         f"{obo}: dropping dangling is_a W:2 -> W:404"]
@@ -122,13 +138,15 @@ def test_other_synonyms_are_another_index(obo, snapshot_cache):
     assert snapshots(snapshot_cache) == ["graph", "index", "index"]
 
 
-def test_edited_byte_is_a_miss(obo, snapshot_cache):
+def test_edited_byte_is_a_miss(obo, snapshot_cache, monkeypatch):
     snapshot.load_graph(obo)
+    parses = counted_parse(monkeypatch)
     with open(obo, "r+b") as f:
         f.seek(WARNING_OBO.index("stem"))
         f.write(b"S")
-    graph = snapshot.load_graph(obo)
-    assert graph["W:1"].name == "Stem cell"
+    snapshot.load_graph(obo)
+    (text,), = parses
+    assert "name: Stem cell" in text
     assert snapshots(snapshot_cache) == ["graph", "graph"]
 
 
@@ -197,14 +215,14 @@ def test_file_edited_during_a_miss_keeps_its_snapshot_apart(obo, monkeypatch):
 
     def read_then_edit(path):
         data = read(path)
-        Path(path).write_text(WARNING_OBO.replace("stem", "Stem"),
+        Path(path).write_text(WARNING_OBO.replace("is_a: W:1", "is_a: W:3"),
                               encoding="utf-8")
         return data
 
     monkeypatch.setattr(snapshot, "read_bytes", read_then_edit)
-    assert snapshot.load_graph(obo)["W:1"].name == "stem cell"
+    assert snapshot.load_graph(obo)["W:2"] == ("W:1",)
     monkeypatch.setattr(snapshot, "read_bytes", read)
-    assert snapshot.load_graph(obo)["W:1"].name == "Stem cell"
+    assert snapshot.load_graph(obo)["W:2"] == ("W:3",)
 
 
 @pytest.mark.parametrize("damage", [
@@ -236,25 +254,87 @@ def stream(records):
                     for data in map(marshal.dumps, records))
 
 
+def graph_records(key, curies, parents, order):
+    """A graph snapshot of this hierarchy, whose concepts are unnamed."""
+    return [key, [], (curies, parents, order), ([""] * len(curies),),
+            ([()] * len(curies),), ([False] * len(curies),)]
+
+
 @pytest.mark.parametrize("part, records", [
-    ("graph", lambda key: [key, [], (["W:1"], [()]), ([],), ([()],),
-                           ([False],)]),
-    ("graph", lambda key: ["0" * 64, [], (["W:1"], [()]), (["x"],), ([()],),
-                           ([False],)]),
+    ("graph", lambda key: graph_records(key, ["W:1"], [()], [])),
+    ("graph", lambda key: graph_records("0" * 64, ["W:1"], [()], ["W:1"])),
     ("index", lambda key: [key, [], ([(("w",), ("W:1",))],)]),
-], ids=["unequal columns", "another key", "index not a dict"])
+    ("graph", lambda key: graph_records(key, ["W:1", "W:2"],
+                                        [("W:2",), ("W:1",)], ["W:1", "W:2"])),
+    ("graph", lambda key: graph_records(key, ["W:1"], [("W:9",)], ["W:1"])),
+    ("graph", lambda key: graph_records(key, ["W:1", "W:2"], [(), ["W:1"]],
+                                        ["W:2", "W:1"])),
+    ("graph", lambda key: graph_records(key, ["W:1", "W:2"], [(), ("W:1",)],
+                                        ["W:1", "W:2"])),
+    ("graph", lambda key: graph_records(key, ["W:1", "W:2"], [(), ("W:1",)],
+                                        ["W:2", "W:9"])),
+    ("graph", lambda key: graph_records(key, ["W:1", "W:1"], [(), ()],
+                                        ["W:1", "W:1"])),
+], ids=["unequal columns", "another key", "index not a dict", "cycle",
+        "unknown parent", "parents not a tuple", "parent after child",
+        "order names another CURIE", "repeated CURIE"])
 def test_well_formed_snapshot_of_wrong_content_is_parsed(
-        obo, snapshot_cache, part, records):
+        obo, snapshot_cache, monkeypatch, part, records):
     load_part = getattr(snapshot, f"load_{part}")
     cold = load_part(obo)
     (path,) = snapshot_cache.glob(f"{part}-*")
     key = path.name.removeprefix(f"{part}-").removesuffix(".marshal")
     path.write_bytes(stream(records(key)))
     again = load_part(obo)
+    no_parse(monkeypatch)
+    warm = load_part(obo)  # rewritten by the parse
     if part == "graph":
-        assert items(again) == items(cold)
+        assert items(again) == items(warm) == items(cold)
     else:
-        assert again.entries == cold.entries
+        assert again.entries == warm.entries == cold.entries
+
+
+def test_a_graph_hit_reads_no_term_record(obo, snapshot_cache, monkeypatch):
+    cold = snapshot.load_graph(obo)
+    (path,) = snapshot_cache.glob("graph-*")
+    records = snapshot._records(path, 6)
+    path.write_bytes(stream(records[:3]) + b"\x05" * 64)
+    parses = counted_parse(monkeypatch)
+    assert hierarchy(snapshot.load_graph(obo)) == hierarchy(cold)
+    assert parses == []
+    index = snapshot.load_index(obo, EXTRA)
+    assert len(parses) == 1
+    assert index.entries == build_index(parse_obo(WARNING_OBO), EXTRA).entries
+    assert snapshot._records(path, 6) == records
+
+
+def test_pruning_skips_a_snapshot_that_another_command_deleted(
+        tmp_path, snapshot_cache, monkeypatch, caplog):
+    monkeypatch.setattr(snapshot, "KEEP", 1)
+    paths = [tmp_path / f"o{k}.obo" for k in range(3)]
+    for k, path in enumerate(paths):
+        path.write_text(f"[Term]\nid: X:{k}\n", encoding="utf-8")
+    for k, path in enumerate(paths[:2]):
+        snapshot.load_graph(str(path))
+        for written in snapshot_cache.glob("*.marshal"):
+            if written.stat().st_mtime > 1e6:
+                os.utime(written, (k, k))
+    glob = Path.glob
+
+    def glob_then_delete(self, pattern):
+        found = sorted(glob(self, pattern), key=lambda p: p.stat().st_mtime)
+        if pattern == "*.marshal":
+            found[0].unlink()  # the oldest, by a command pruning meanwhile
+        return found
+
+    monkeypatch.setattr(Path, "glob", glob_then_delete)
+    with caplog.at_level(logging.DEBUG, logger="conceptkit.snapshot"):
+        snapshot.load_graph(str(paths[2]))
+    assert not [m for m in caplog.messages if "write failed" in m]
+    monkeypatch.setattr(Path, "glob", glob)
+    no_parse(monkeypatch)
+    assert list(snapshot.load_graph(str(paths[2]))) == ["X:2"]
+    assert snapshots(snapshot_cache) == ["graph"]
 
 
 @pytest.mark.parametrize("text", [
@@ -313,7 +393,7 @@ def test_parents_are_the_graph_key_objects_after_a_load(tmp_path, monkeypatch):
     no_parse(monkeypatch)
     graph = snapshot.load_graph(str(path))
     keys = {curie: curie for curie in graph}
-    parents = [p for curie in graph for p in graph[curie].parents]
+    parents = [p for curie in graph for p in graph[curie]]
     assert parents == ["X:1", "X:1", "X:2"]
     assert all(p is keys[p] for p in parents)
 
