@@ -9,7 +9,7 @@ error rate.
 
 from .codec import decode_iobes, encode, roundtrip_upper_bound
 from .dicttag import TermIndex, build_index, normalize_term, tag
-from .errors import ConceptKitError, ParseError
+from .errors import ConceptKitError, ParseError, take_warnings
 from .evaluate import (EvalCounts, filter_unseen, fscore, pair_similarity,
                        score_document, slot_error_rate)
 from .formats import (parse_conll, parse_standoff, tokenize, write_conll,
@@ -36,6 +36,7 @@ __all__ = [
     "grid_search", "harmonise_document", "harmonise_token", "make_folds",
     "normalize_term", "pair_similarity", "parse_conll", "parse_obo",
     "parse_standoff", "roundtrip_upper_bound", "score_document",
-    "select_strategy", "simplify", "slot_error_rate", "tag", "tokenize",
-    "unify", "unnest", "wang_similarity", "write_conll", "write_standoff",
+    "select_strategy", "simplify", "slot_error_rate", "tag", "take_warnings",
+    "tokenize", "unify", "unnest", "wang_similarity", "write_conll",
+    "write_standoff",
 ]

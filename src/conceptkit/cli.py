@@ -9,18 +9,15 @@ explicit command-line flags win over config values.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from pathlib import Path
 
 from . import codec, dicttag, evaluate, formats, harmonise, snapshot, tuning
-from .errors import ConceptKitError, ParseError
+from .errors import ConceptKitError, ParseError, take_warnings
 from .formats import (iter_sentences, read_conll_dir, read_predictions_dir,
                       read_standoff_dir, read_text, split_lines)
 from .ontology import DEFAULT_DECAY
 from .simplify import UnifyStrategy, UnnestStrategy
-
-logger = logging.getLogger(__name__)
 
 UNIFY_CHOICES = [s.value for s in UnifyStrategy]
 UNNEST_CHOICES = [s.value for s in UnnestStrategy]
@@ -47,6 +44,12 @@ def _write_outputs(output_dir: str, contents: dict[str, str], suffix: str):
         (directory / f"{doc_id}{suffix}").write_text(text, encoding="utf-8")
 
 
+def _note(args, message: str) -> None:
+    """A progress note on stderr, printed under -v."""
+    if args.verbose:
+        print(f"conceptkit: {message}", file=sys.stderr)
+
+
 def _original_text(args, doc_id: str) -> str | None:
     """The document's text from --text-dir, or None without that flag."""
     if not args.text_dir:
@@ -62,7 +65,7 @@ def cmd_convert(args) -> int:
             doc, UnifyStrategy(args.unify), UnnestStrategy(args.unnest))
         out[doc_id] = formats.write_conll(sentences)
     _write_outputs(args.output, out, ".conll")
-    logger.info("converted %d documents", len(out))
+    _note(args, f"converted {len(out)} documents")
     return 0
 
 
@@ -106,7 +109,7 @@ def cmd_dict_tag(args) -> int:
         lines = split_lines(read_text(Path(args.stopwords)))
         stopwords = frozenset(w for line in lines for w in line.lower().split())
     index = snapshot.load_index(args.ontology, extra)
-    logger.info("index holds %d term entries", len(index))
+    _note(args, f"index holds {len(index)} term entries")
     out = {doc_id: formats.write_conll(dicttag.tag_rows(sentences, index, stopwords))
            for doc_id, sentences in iter_sentences(args.input)}
     _write_outputs(args.output, out, ".conll")
@@ -173,7 +176,7 @@ def cmd_baseline_train(args) -> int:
     corpus = read_conll_dir(args.input)
     tagger = tuning.LexiconTagger.train(corpus)
     Path(args.output).write_text(tagger.to_json(), encoding="utf-8")
-    logger.info("lexicon holds %d surface forms", len(tagger.entries))
+    _note(args, f"lexicon holds {len(tagger.entries)} surface forms")
     return 0
 
 
@@ -214,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="FILE",
                         help="key=value file presetting any flag of this command")
     common.add_argument("-v", "--verbose", action="count", default=0,
-                        help="increase log verbosity (repeatable)")
+                        help="print progress notes on stderr")
     ontology = argparse.ArgumentParser(add_help=False)
     ontology.add_argument("--ontology", required=True, metavar="FILE")
     simplification = argparse.ArgumentParser(add_help=False)
@@ -340,17 +343,21 @@ def _apply_config(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command, then print its warnings and its error, if any."""
     argv = list(sys.argv[1:] if argv is None else argv)
+    error = None
     try:
         argv = _apply_config(argv)
         args = build_parser().parse_args(argv)
-        logging.basicConfig(
-            level=max(logging.WARNING - 10 * args.verbose, logging.DEBUG),
-            format="%(levelname)s %(name)s: %(message)s")
-        return args.func(args)
+        code = args.func(args)
     except (ConceptKitError, OSError, ValueError, KeyError) as exc:
-        print(f"conceptkit: error: {exc}", file=sys.stderr)
-        return 1
+        code, error = 1, exc
+    for count, message in take_warnings().values():
+        more = f" ({count - 1} more like it)" if count > 1 else ""
+        print(f"conceptkit: warning: {message}{more}", file=sys.stderr)
+    if error is not None:
+        print(f"conceptkit: error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

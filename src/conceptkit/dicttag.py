@@ -8,17 +8,14 @@ dictionary features.
 
 from __future__ import annotations
 
-import logging
 import re
 import unicodedata
 from collections import namedtuple
 
-from .errors import ParseError
+from .errors import ParseError, warn
 from .formats import split_lines
 from .model import ConllRow, TextSpan
 from .ontology import OntologyGraph
-
-logger = logging.getLogger(__name__)
 
 # A run of letters and digits: one token of a normalised term.
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -100,8 +97,7 @@ def build_index(graph: OntologyGraph,
     def add(term: str, ids: tuple[str]):
         tokens = normalize_term(term)
         if not tokens:
-            logger.warning("skipping term %r (%s): normalises to nothing",
-                           term, ids[0])
+            warn("skipping term %r (%s): normalises to nothing", term, ids[0])
             return
         key = tuple(map(intern, tokens, tokens))
         held = entries.setdefault(key, ids)

@@ -10,14 +10,12 @@ and slot error rate all derive from these four counts.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import namedtuple
 
+from .errors import warn
 from .model import Annotation, Document, char_jaccard
 from .ontology import DEFAULT_DECAY, OntologyGraph, wang_similarity
-
-logger = logging.getLogger(__name__)
 
 
 class EvalCounts(namedtuple("EvalCounts",
@@ -58,7 +56,7 @@ def pair_similarity(pred: Annotation, ref: Annotation, graph: OntologyGraph,
         return 0.0
     if pred.concept_id not in graph or ref.concept_id not in graph:
         missing = pred.concept_id if pred.concept_id not in graph else ref.concept_id
-        logger.warning("concept %s not in ontology: similarity 0", missing)
+        warn("concept %s not in ontology: similarity 0", missing)
         return 0.0
     return overlap * wang_similarity(graph, pred.concept_id, ref.concept_id, decay)
 

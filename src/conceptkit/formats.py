@@ -25,14 +25,11 @@ A corpus directory holds DOC.txt with DOC.ann, or DOC.conll, per document.
 
 from __future__ import annotations
 
-import logging
 import re
 from pathlib import Path
 
-from .errors import ConceptKitError, ParseError
+from .errors import ConceptKitError, ParseError, warn
 from .model import Annotation, ConllRow, Document, SpanTag, TextSpan
-
-logger = logging.getLogger(__name__)
 
 # Maximal letter/digit runs are one token; any other non-space character
 # except a byte order mark (U+FEFF) stands alone.
@@ -148,9 +145,8 @@ def parse_standoff(ann_text: str, doc_text: str, doc_id: str = "",
             if recorded_text and recorded != _normalise_ws(covered) and (
                     recorded != _normalise_ws(" ".join(doc_text[s.start:s.end]
                                                        for s in spans))):
-                logger.warning(
-                    "%s:%d: text mismatch for %s: recorded %r, covered %r",
-                    source, lineno, ann_id, recorded_text, covered)
+                warn("%s:%d: text mismatch for %s: recorded %r, covered %r",
+                     source, lineno, ann_id, recorded_text, covered)
             annotations.append(ann)
     except ValueError as exc:
         raise ParseError(str(exc), line=lineno, source=source) from None

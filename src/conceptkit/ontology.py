@@ -9,15 +9,12 @@ the shared ancestors over the total mass of both concepts.
 
 from __future__ import annotations
 
-import logging
 import re
 from collections import deque, namedtuple
 from itertools import chain
 
-from .errors import ParseError
+from .errors import ParseError, warn
 from .formats import split_lines
-
-logger = logging.getLogger(__name__)
 
 #: Default per-edge decay for is_a links in the similarity computation.
 DEFAULT_DECAY = 0.8
@@ -174,9 +171,9 @@ def parse_obo(text: str, source: str = "") -> OntologyGraph:
             if line.startswith("["):
                 if curie is not None:
                     if curie in concepts:
-                        logger.warning("%s:line %d: repeated id %s replaces the "
-                                       "earlier stanza", source or "obo",
-                                       stanza_line, curie)
+                        warn("%s:line %d: repeated id %s replaces the "
+                             "earlier stanza", source or "obo",
+                             stanza_line, curie)
                     hierarchy[curie] = tuple(dict.fromkeys(parents))
                     concepts[curie] = Concept(name, tuple(synonyms), obsolete)
                 in_term = line == "[Term]"
@@ -216,8 +213,8 @@ def parse_obo(text: str, source: str = "") -> OntologyGraph:
     for curie, curie_parents in hierarchy.items():
         dropped = [p for p in curie_parents if p not in hierarchy]
         if dropped:
-            logger.warning("%s: dropping dangling is_a %s -> %s",
-                           source or "obo", curie, ", ".join(dropped))
+            warn("%s: dropping dangling is_a %s -> %s",
+                 source or "obo", curie, ", ".join(dropped))
             hierarchy[curie] = tuple(p for p in curie_parents if p in hierarchy)
     try:
         order = _topological_order(hierarchy)

@@ -9,14 +9,12 @@ pair (unnesting). Each step is parameterised by a strategy.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left, bisect_right
 from enum import Enum
 
+from .errors import warn
 from .formats import tokenize
 from .model import Annotation, Document, TextSpan
-
-logger = logging.getLogger(__name__)
 
 
 class UnifyStrategy(str, Enum):
@@ -71,8 +69,8 @@ def extend_subword(doc: Document, tokens: list[tuple[str, TextSpan]]) -> Documen
         first = bisect_right(ends, ann.start)
         last = bisect_left(starts, ann.end) - 1
         if first > last:
-            logger.warning("%s: dropping annotation %s at %s: overlaps no token",
-                           doc.doc_id, ann.concept_id, ann.spans)
+            warn("%s: dropping annotation %s at %s: overlaps no token",
+                 doc.doc_id, ann.concept_id, ann.spans)
             continue
         span = TextSpan(starts[first], ends[last])
         result.append(Annotation(ann.concept_id, (span,)))

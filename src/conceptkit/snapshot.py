@@ -26,13 +26,12 @@ that are hashed are the bytes that a miss parses. Snapshots live in
 shape or cannot be written falls back to the parse, and nothing is
 written unless the parse succeeded.
 
-A snapshot also holds the warnings that its parse logged; a load logs
-them again, from the same loggers and in the same order.
+A snapshot also holds the warnings that its load counted (see
+`errors.warn`); a load of it counts them again.
 """
 
 from __future__ import annotations
 
-import logging
 import marshal
 import os
 import sys
@@ -40,18 +39,14 @@ import unicodedata
 from pathlib import Path
 
 from .dicttag import TermIndex, build_index
-from .errors import ConceptKitError
+from .errors import ConceptKitError, add_warnings, take_warnings
 from .formats import decode_text, read_bytes
 from .ontology import Concept, OntologyGraph, _hierarchy, parse_obo
 
-logger = logging.getLogger(__name__)
-
 #: Part of every key; a change to the layout of a snapshot changes it.
-FORMAT = f"conceptkit snapshot 2, marshal {marshal.version}"
+FORMAT = f"conceptkit snapshot 3, marshal {marshal.version}"
 #: Snapshot files kept: CRAFT's 20 annotation sets, a graph and an index each.
 KEEP = 40
-#: The loggers whose warnings a snapshot holds.
-_LOGGERS = ("conceptkit.ontology", "conceptkit.dicttag")
 #: The directory whose modules' source every key covers.
 _PACKAGE = Path(__file__).parent
 
@@ -73,33 +68,35 @@ def _load(path: str, extra):
     """The graph of the OBO file at `path` or, unless `extra` is None,
     its index. The file's bytes, its text and the graph are each dropped
     once no later step needs them, so that the parse and each write do
-    not hold them all."""
-    data = read_bytes(path)
-    keys = _attempt("key", _keys, path, data, extra or ())
-    if extra is not None:
-        index = keys and _attempt("read", _read, "index", keys[1])
-        if index is not None:
-            return index
-    with _Recorder() as index_warnings:
-        graph = keys and _attempt("read", _read, "graph", keys[0],
-                                  extra is not None)
+    not hold them all. A snapshot holds only the load's own warnings:
+    those counted before it are set aside, then counted first."""
+    earlier = take_warnings()
+    try:
+        data = read_bytes(path)
+        keys = _attempt(_keys, path, data, extra or ())
+        if extra is not None:
+            index = keys and _attempt(_read, "index", keys[1])
+            if index is not None:
+                return index
+        graph = keys and _attempt(_read, "graph", keys[0], extra is not None)
         if graph is None:
             text, data = decode_text(data, path), None
-            with _Recorder() as warnings:
-                graph = parse_obo(text, source=path)
+            graph = parse_obo(text, source=path)
             text = None
-            if keys and warnings.heard():
-                _attempt("write", _write, "graph", keys[0], _columns(graph),
-                         warnings.records)
+            if keys:
+                _attempt(_write, "graph", keys[0], _columns(graph))
         if extra is None:
             return _hierarchy(graph._parents)
         data = None
         index = build_index(graph, extra)
         graph = None
-    if keys and index_warnings.heard():
-        _attempt("write", _write, "index", keys[1], [(index.entries,)],
-                 index_warnings.records)
-    return index
+        if keys:
+            _attempt(_write, "index", keys[1], [(index.entries,)])
+        return index
+    finally:
+        own = take_warnings()
+        add_warnings(earlier)
+        add_warnings(own)
 
 
 def _columns(graph: OntologyGraph) -> list:
@@ -112,15 +109,14 @@ def _columns(graph: OntologyGraph) -> list:
             ([c.obsolete for c in concepts],)]
 
 
-def _attempt(step: str, function, *args):
+def _attempt(function, *args):
     """function(*args), or None if it fails: every snapshot failure
     falls back to the parse. A file, a home directory or data of the
     wrong shape fails with one of these errors."""
     try:
         return function(*args)
     except (OSError, EOFError, ValueError, TypeError, KeyError,
-            RuntimeError, ConceptKitError) as exc:
-        logger.debug("ontology snapshot %s failed: %r", step, exc)
+            RuntimeError, ConceptKitError):
         return None
 
 
@@ -172,7 +168,8 @@ def _read(part: str, key: str, terms: bool = False):
     stored_key, warnings, *blocks = _records(
         _cache_dir() / f"{part}-{key}.marshal", 6 if terms else 3)
     columns = [column for block in blocks for column in block]
-    if stored_key != key or len(set(map(len, columns))) != 1:
+    if (stored_key != key or type(warnings) is not dict
+            or len(set(map(len, columns))) != 1):
         raise ValueError("not the expected snapshot")
     if part == "graph":
         curies, parents, order, *fields = columns
@@ -184,8 +181,7 @@ def _read(part: str, key: str, terms: bool = False):
         if type(entries) is not dict:
             raise ValueError("not the expected snapshot")
         result = TermIndex(entries)
-    for name, level, message, args in warnings:
-        logging.getLogger(name).log(level, message, *args)
+    add_warnings(warnings)
     return result
 
 
@@ -204,10 +200,13 @@ def _checked(curies: list, parents: list, order: list) -> dict:
     return hierarchy
 
 
-def _write(part: str, key: str, blocks: list, warnings: list) -> None:
-    """Write the key, the warnings and each block of columns as marshal
-    records, each after its size in 8 bytes, to a temporary file that
-    then replaces the snapshot; delete all but the KEEP newest."""
+def _write(part: str, key: str, blocks: list) -> None:
+    """Write the key, the warnings counted so far and each block of
+    columns as marshal records, each after its size in 8 bytes, to a
+    temporary file that then replaces the snapshot; delete all but the
+    KEEP newest."""
+    warnings = take_warnings()
+    add_warnings(warnings)  # still counted
     directory = _cache_dir()
     directory.mkdir(mode=0o700, parents=True, exist_ok=True)
     name = f"{part}-{key}.marshal"
@@ -229,31 +228,3 @@ def _write(part: str, key: str, blocks: list, warnings: list) -> None:
             pass
     for _, stale in sorted(snapshots)[:-KEEP]:
         stale.unlink(missing_ok=True)
-
-
-class _Recorder(logging.Handler):
-    """The warnings that the snapshot loggers log within a `with` block."""
-
-    def __init__(self):
-        super().__init__()
-        self.records = []
-
-    def emit(self, record):
-        self.records.append((record.name, record.levelno, record.msg,
-                             record.args))
-
-    def __enter__(self):
-        for name in _LOGGERS:
-            logging.getLogger(name).addHandler(self)
-        return self
-
-    def __exit__(self, *exc_info):
-        for name in _LOGGERS:
-            logging.getLogger(name).removeHandler(self)
-
-    @staticmethod
-    def heard() -> bool:
-        """Whether every logger passes a warning on, so that the records
-        hold every warning."""
-        return all(logging.getLogger(name).isEnabledFor(logging.WARNING)
-                   for name in _LOGGERS)

@@ -17,7 +17,7 @@ from itertools import islice
 
 from .codec import block_concept, block_tags, iter_blocks
 from .dicttag import longest_leftmost, normalize_term
-from .errors import ConceptKitError
+from .errors import ConceptKitError, add_warnings, take_warnings
 from .evaluate import EvalCounts, fscore, score_document, slot_error_rate
 from .harmonise import HarmonisationStrategy, harmonise_document
 from .model import NIL, Annotation, ConllRow, SpanTag, TextSpan
@@ -63,13 +63,17 @@ _worker_context = None  # (tasks, graph, decay), set in each worker by _init_wor
 def _init_worker(tasks: list, graph: OntologyGraph, decay: float) -> None:
     global _worker_context
     _worker_context = (tasks, graph, decay)
+    take_warnings()  # a forked worker's copy of the parent's counts
 
 
-def _score_cell(i: int, context=None) -> EvalCounts:
-    """Counts of task i, one strategy on one document; workers omit `context`."""
+def _score_cell(i: int, context=None) -> tuple[EvalCounts, dict]:
+    """Counts of task i, one strategy on one document, and the warnings
+    taken after it; workers omit `context`."""
     tasks, graph, decay = context or _worker_context
     strategy, rows, refs = tasks[i]
-    return score_document(harmonise_document(rows, strategy), refs, graph, decay)
+    counts = score_document(harmonise_document(rows, strategy), refs, graph,
+                            decay)
+    return counts, take_warnings()
 
 
 def grid_search(gold: dict[str, list[Annotation]],
@@ -83,7 +87,7 @@ def grid_search(gold: dict[str, list[Annotation]],
     strategy order, and a repeated strategy is ranked once. Each
     (strategy, document) pair is scored once and a fold's counts are
     the sum over its documents; with jobs > 1 the pairs are scored in
-    that many worker processes.
+    that many worker processes, and their warnings are counted here.
     """
     missing = [d for d in gold if d not in predictions]
     if missing:
@@ -106,10 +110,13 @@ def grid_search(gold: dict[str, list[Annotation]],
         # workers get the tasks once, at start; calls carry only indexes
         with ProcessPoolExecutor(workers, initializer=_init_worker,
                                  initargs=context) as pool:
-            counts = list(pool.map(_score_cell, range(len(tasks)),
-                                   chunksize=-(-len(tasks) // (4 * workers))))
+            cells = list(pool.map(_score_cell, range(len(tasks)),
+                                  chunksize=-(-len(tasks) // (4 * workers))))
     else:
-        counts = [_score_cell(i, context) for i in range(len(tasks))]
+        cells = [_score_cell(i, context) for i in range(len(tasks))]
+    for _, warnings in cells:  # in task order, whichever process scored it
+        add_warnings(warnings)
+    counts = [cell_counts for cell_counts, _ in cells]
     results = []
     for i, strategy in enumerate(strategies):
         doc_counts = iter(counts[i::len(strategies)])

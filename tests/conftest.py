@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from conceptkit import parse_obo
+from conceptkit import parse_obo, take_warnings
 
 from helpers import CHAIN_OBO, tree_graph
 
@@ -9,6 +9,12 @@ from helpers import CHAIN_OBO, tree_graph
 # examples, which rare generated cases (escapes next to comments, line
 # ends inside values) need to show up reliably.
 settings.register_profile("ci", max_examples=1000)
+
+
+@pytest.fixture(autouse=True)
+def no_earlier_warnings():
+    """Each test counts only its own warnings."""
+    take_warnings()
 
 
 @pytest.fixture(autouse=True)

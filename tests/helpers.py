@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import logging
 import random
 import re
 import unicodedata
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from conceptkit import (NIL, Annotation, ConllRow, Document, OntologyGraph,
@@ -14,6 +12,7 @@ from conceptkit import (NIL, Annotation, ConllRow, Document, OntologyGraph,
                         tokenize)
 from conceptkit.codec import iter_blocks
 from conceptkit.dicttag import _spell_greek
+from conceptkit.errors import warn
 from conceptkit.evaluate import EvalCounts, pair_similarity
 from conceptkit.harmonise import _route
 from conceptkit.ontology import Concept
@@ -301,25 +300,6 @@ def per_line_sentences(text: str) -> list[list[tuple[str, TextSpan]]]:
 #: the same span and text.
 REFERENCE_SYNONYM_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 
-#: Logger of the reference OBO parser and term indexer below.
-reference_logger = logging.getLogger("helpers.reference")
-
-@contextmanager
-def collect_warnings(logger: logging.Logger):
-    """Collect the messages of the warnings `logger` emits."""
-    messages = []
-    handler = logging.Handler(logging.WARNING)
-    handler.emit = lambda record: messages.append(record.getMessage())
-    level = logger.level
-    logger.addHandler(handler)
-    logger.setLevel(logging.WARNING)
-    try:
-        yield messages
-    finally:
-        logger.removeHandler(handler)
-        logger.setLevel(level)
-
-
 #: What each OBO 1.4 escape stands for after its backslash.
 REFERENCE_OBO_ESCAPES = {"n": "\n", "W": " ", "t": "\t",
                          **{c: c for c in ':,"\\()[]{}!'}}
@@ -412,8 +392,8 @@ def reference_parse_obo(text: str, source: str = "") -> OntologyGraph:
         valid = tuple(p for p in named if p in parents)
         if valid != named:
             dropped = [p for p in named if p not in parents]
-            reference_logger.warning("%s: dropping dangling is_a %s -> %s",
-                                     source or "obo", curie, ", ".join(dropped))
+            warn("%s: dropping dangling is_a %s -> %s",
+                 source or "obo", curie, ", ".join(dropped))
             parents[curie] = valid
     return OntologyGraph(parents, concepts)
 
@@ -471,8 +451,7 @@ def reference_build_index(graph: OntologyGraph,
     def add(term: str, curie: str):
         key = tuple(reference_normalize_term(term))
         if not key:
-            reference_logger.warning(
-                "skipping term %r (%s): normalises to nothing", term, curie)
+            warn("skipping term %r (%s): normalises to nothing", term, curie)
             return
         collected.setdefault(key, set()).add(curie)
 

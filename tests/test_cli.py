@@ -431,6 +431,37 @@ def test_wang_decay_outside_unit_interval_is_a_usage_error(
     assert ("--wang-decay: expected a number strictly between 0 and 1, "
             f"got '{decay}'") in capsys.readouterr().err
 
+class TestWarnings:
+    def test_one_line_per_template_with_how_many_more(self, tmp_path, capsys):
+        gold = tmp_path / "gold"
+        gold.mkdir()
+        (gold / "d.txt").write_text("ab cd ef\n")
+        (gold / "d.ann").write_text(
+            "T1\tX:7 0 2\tab\nT2\tX:8 3 5\tcd\nT3\tX:7 6 8\tef\n")
+        obo = tmp_path / "onto.obo"
+        obo.write_text("[Term]\nid: X:1\nis_a: X:404\n")
+        assert run("evaluate", gold, gold, "--ontology", obo) == 0
+        assert capsys.readouterr().err == (
+            f"conceptkit: warning: {obo}: dropping dangling is_a X:1 -> X:404\n"
+            "conceptkit: warning: concept X:7 not in ontology: similarity 0"
+            " (2 more like it)\n")
+
+    def test_warnings_come_before_the_error(self, corpus, capsys):
+        (corpus / "gold" / "doc2.ann").write_text("T1\tTR:0003 0 9\tsyn3 farm\n")
+        missing = corpus / "no-such-pred"
+        assert run("evaluate", corpus / "gold", missing,
+                   "--ontology", corpus / "onto.obo") == 1
+        assert capsys.readouterr().err == (
+            f"conceptkit: warning: {corpus / 'gold' / 'doc2.ann'}:1: text "
+            "mismatch for T1: recorded 'syn3 farm', covered 'syn3 form'\n"
+            f"conceptkit: error: not a directory: {missing}\n")
+
+    @pytest.mark.parametrize("flag", ["-v", "-vv"])
+    def test_verbose_prints_progress_notes(self, corpus, capsys, flag):
+        assert run("convert", corpus / "gold", corpus / "conll", flag) == 0
+        assert capsys.readouterr().err == "conceptkit: converted 2 documents\n"
+
+
 class TestConfigFile:
     def test_config_presets_flags(self, corpus, capsys):
         cfg = corpus / "run.cfg"

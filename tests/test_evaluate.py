@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conceptkit import (Annotation, Document, TextSpan, filter_unseen,
                         fscore, pair_similarity, score_document,
-                        slot_error_rate, wang_similarity)
+                        slot_error_rate, take_warnings, wang_similarity)
 from conceptkit.evaluate import EvalCounts, score_corpus
 
 from helpers import all_pairs_counts, optimal_counts, tree_graph
@@ -31,12 +31,13 @@ class TestPairSimilarity:
         assert pair_similarity(ann("TEST:B", 0, 5), ann("TEST:B", 9, 12),
                                chain_graph) == 0.0
 
-    def test_unknown_concept_scores_zero(self, chain_graph, caplog):
-        with caplog.at_level("WARNING"):
-            m = pair_similarity(ann("NOPE:1", 0, 5), ann("TEST:B", 0, 5),
-                                chain_graph)
+    def test_unknown_concept_scores_zero(self, chain_graph):
+        m = pair_similarity(ann("NOPE:1", 0, 5), ann("TEST:B", 0, 5),
+                            chain_graph)
         assert m == 0.0
-        assert "not in ontology" in caplog.text
+        assert take_warnings() == {
+            "concept %s not in ontology: similarity 0":
+                (1, "concept NOPE:1 not in ontology: similarity 0")}
 
     def test_product_of_factors(self, chain_graph):
         p = ann("TEST:B", 0, 4)

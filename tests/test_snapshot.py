@@ -1,4 +1,3 @@
-import logging
 import marshal
 import os
 import shutil
@@ -9,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from conceptkit import (ConceptKitError, ParseError, build_index, parse_obo,
-                        snapshot)
+                        snapshot, take_warnings)
 from conceptkit.cli import main
+from conceptkit.errors import warn
 
 # a dangling is_a, a repeated id and a name that normalises to nothing:
 # every warning parse_obo and build_index give
@@ -51,18 +51,9 @@ def snapshots(cache):
 
 
 def load(loader, *args):
-    """loader(*args) and the (logger, level, message) of each record
-    it logged."""
-    records = []
-    handler = logging.Handler()
-    handler.emit = lambda record: records.append(
-        (record.name, record.levelname, record.getMessage()))
-    root = logging.getLogger()
-    root.addHandler(handler)
-    try:
-        return loader(*args), records
-    finally:
-        root.removeHandler(handler)
+    """loader(*args) and the warnings it counted."""
+    take_warnings()  # those of an earlier load
+    return loader(*args), take_warnings()
 
 
 def items(graph):
@@ -101,9 +92,9 @@ def test_cold_and_warm_graphs_are_equal(obo, tmp_path, snapshot_cache,
     assert items(parsed) == [("W:1", ()), ("W:2", ("W:1",)), ("W:3", ())]
     assert cold.concepts is warm.concepts is uncached.concepts is None
     assert warm_warnings == cold_warnings == uncached_warnings
-    assert [m for _, _, m in cold_warnings] == [
-        f"{obo}:line 16: repeated id W:2 replaces the earlier stanza",
-        f"{obo}: dropping dangling is_a W:2 -> W:404"]
+    assert list(cold_warnings.values()) == [
+        (1, f"{obo}:line 16: repeated id W:2 replaces the earlier stanza"),
+        (1, f"{obo}: dropping dangling is_a W:2 -> W:404")]
 
 
 def test_cold_and_warm_indexes_are_equal(obo, snapshot_cache, monkeypatch):
@@ -118,8 +109,8 @@ def test_cold_and_warm_indexes_are_equal(obo, snapshot_cache, monkeypatch):
     assert list(warm.entries) == list(expected.entries)
     assert warm.max_len == expected.max_len
     assert warm_warnings == cold_warnings
-    assert [m for _, _, m in cold_warnings][2:] == [
-        "skipping term '---' (W:3): normalises to nothing"]
+    assert list(cold_warnings.values())[2:] == [
+        (1, "skipping term '---' (W:3): normalises to nothing")]
 
 
 def test_graph_snapshot_serves_an_index_miss(obo, snapshot_cache, monkeypatch):
@@ -155,7 +146,7 @@ def test_path_is_part_of_the_key(obo, tmp_path, snapshot_cache):
     other.write_text(WARNING_OBO, encoding="utf-8")
     snapshot.load_graph(obo)
     _, warnings = load(snapshot.load_graph, str(other))
-    assert all(str(other) in message for _, _, message in warnings)
+    assert all(str(other) in message for _, message in warnings.values())
     assert snapshots(snapshot_cache) == ["graph", "graph"]
 
 
@@ -256,14 +247,14 @@ def stream(records):
 
 def graph_records(key, curies, parents, order):
     """A graph snapshot of this hierarchy, whose concepts are unnamed."""
-    return [key, [], (curies, parents, order), ([""] * len(curies),),
+    return [key, {}, (curies, parents, order), ([""] * len(curies),),
             ([()] * len(curies),), ([False] * len(curies),)]
 
 
 @pytest.mark.parametrize("part, records", [
     ("graph", lambda key: graph_records(key, ["W:1"], [()], [])),
     ("graph", lambda key: graph_records("0" * 64, ["W:1"], [()], ["W:1"])),
-    ("index", lambda key: [key, [], ([(("w",), ("W:1",))],)]),
+    ("index", lambda key: [key, {}, ([(("w",), ("W:1",))],)]),
     ("graph", lambda key: graph_records(key, ["W:1", "W:2"],
                                         [("W:2",), ("W:1",)], ["W:1", "W:2"])),
     ("graph", lambda key: graph_records(key, ["W:1"], [("W:9",)], ["W:1"])),
@@ -275,9 +266,10 @@ def graph_records(key, curies, parents, order):
                                         ["W:2", "W:9"])),
     ("graph", lambda key: graph_records(key, ["W:1", "W:1"], [(), ()],
                                         ["W:1", "W:1"])),
+    ("index", lambda key: [key, [], ({("w",): ("W:1",)},)]),
 ], ids=["unequal columns", "another key", "index not a dict", "cycle",
         "unknown parent", "parents not a tuple", "parent after child",
-        "order names another CURIE", "repeated CURIE"])
+        "order names another CURIE", "repeated CURIE", "warnings not a dict"])
 def test_well_formed_snapshot_of_wrong_content_is_parsed(
         obo, snapshot_cache, monkeypatch, part, records):
     load_part = getattr(snapshot, f"load_{part}")
@@ -309,16 +301,17 @@ def test_a_graph_hit_reads_no_term_record(obo, snapshot_cache, monkeypatch):
 
 
 def test_pruning_skips_a_snapshot_that_another_command_deleted(
-        tmp_path, snapshot_cache, monkeypatch, caplog):
-    monkeypatch.setattr(snapshot, "KEEP", 1)
-    paths = [tmp_path / f"o{k}.obo" for k in range(3)]
+        tmp_path, snapshot_cache, monkeypatch):
+    paths = [tmp_path / f"o{k}.obo" for k in range(4)]
     for k, path in enumerate(paths):
         path.write_text(f"[Term]\nid: X:{k}\n", encoding="utf-8")
-    for k, path in enumerate(paths[:2]):
+    for k, path in enumerate(paths[:3]):
         snapshot.load_graph(str(path))
         for written in snapshot_cache.glob("*.marshal"):
             if written.stat().st_mtime > 1e6:
                 os.utime(written, (k, k))
+    # the last write must still prune the two left once the oldest is gone
+    monkeypatch.setattr(snapshot, "KEEP", 1)
     glob = Path.glob
 
     def glob_then_delete(self, pattern):
@@ -328,12 +321,10 @@ def test_pruning_skips_a_snapshot_that_another_command_deleted(
         return found
 
     monkeypatch.setattr(Path, "glob", glob_then_delete)
-    with caplog.at_level(logging.DEBUG, logger="conceptkit.snapshot"):
-        snapshot.load_graph(str(paths[2]))
-    assert not [m for m in caplog.messages if "write failed" in m]
+    snapshot.load_graph(str(paths[3]))
     monkeypatch.setattr(Path, "glob", glob)
     no_parse(monkeypatch)
-    assert list(snapshot.load_graph(str(paths[2]))) == ["X:2"]
+    assert list(snapshot.load_graph(str(paths[3]))) == ["X:3"]
     assert snapshots(snapshot_cache) == ["graph"]
 
 
@@ -357,13 +348,32 @@ def test_missing_file_keeps_its_error(tmp_path):
     assert str(info.value) == f"missing file: {tmp_path / 'none.obo'}"
 
 
-def test_unheard_warnings_write_no_snapshot(obo, snapshot_cache):
-    logging.disable(logging.WARNING)
-    try:
-        snapshot.load_index(obo)
-    finally:
-        logging.disable(logging.NOTSET)
-    assert snapshots(snapshot_cache) == []
+def test_earlier_warnings_are_counted_first_and_not_stored(
+        obo, tmp_path, monkeypatch):
+    """A load counts the warnings counted before it ahead of its own,
+    also when its parse fails, and its snapshot holds only its own."""
+    bad = tmp_path / "bad.obo"
+    bad.write_text("[Term]\nid: X:1\nis_a: X:2\n\n[Term]\nid: X:2\nis_a: X:1\n",
+                   encoding="utf-8")
+    parse_obo(WARNING_OBO, source=obo)
+    (repeated, own_dangling) = take_warnings().items()
+    for _ in range(2):  # a miss, then a hit
+        warn("earlier %s", "one")
+        warn("%s: dropping dangling is_a %s -> %s", "earlier.obo", "X:1", "X:2")
+        snapshot.load_graph(obo)
+        assert list(take_warnings().items()) == [
+            ("earlier %s", (1, "earlier one")),
+            (own_dangling[0],
+             (2, "earlier.obo: dropping dangling is_a X:1 -> X:2")),
+            repeated]
+    no_parse(monkeypatch)
+    _, stored = load(snapshot.load_graph, obo)
+    assert list(stored.items()) == [repeated, own_dangling]
+    monkeypatch.setattr(snapshot, "parse_obo", parse_obo)
+    warn("earlier %s", "one")
+    with pytest.raises(ParseError):
+        snapshot.load_graph(str(bad))
+    assert take_warnings() == {"earlier %s": (1, "earlier one")}
 
 
 def test_only_the_newest_snapshots_are_kept(tmp_path, snapshot_cache,
@@ -416,7 +426,7 @@ def test_equal_tokens_are_one_object_after_a_load(tmp_path, monkeypatch):
 
 
 def test_commands_print_the_same_cold_warm_and_without_a_cache(
-        tmp_path, snapshot_cache, monkeypatch, capsys, caplog):
+        tmp_path, snapshot_cache, monkeypatch, capsys):
     gold = tmp_path / "gold"
     gold.mkdir()
     (gold / "d.txt").write_text("stem cell and cell line\n", encoding="utf-8")
@@ -439,11 +449,9 @@ def test_commands_print_the_same_cold_warm_and_without_a_cache(
     def flow():
         runs = []
         for argv in commands:
-            caplog.clear()
             code = main(argv)
             captured = capsys.readouterr()
-            runs.append((code, captured.out, captured.err, [
-                (r.name, r.levelname, r.getMessage()) for r in caplog.records]))
+            runs.append((code, captured.out, captured.err))
         runs.append(sorted((p.name, p.read_text(encoding="utf-8"))
                            for p in (tmp_path / "tagged").iterdir()))
         return runs
@@ -456,7 +464,9 @@ def test_commands_print_the_same_cold_warm_and_without_a_cache(
     uncached = flow()
     assert cold == warm == uncached
     assert [run[0] for run in cold[:-1]] == [0] * len(commands)
-    assert [message for _, _, message in cold[1][3]] == [
-        "o.obo:line 16: repeated id W:2 replaces the earlier stanza",
-        "o.obo: dropping dangling is_a W:2 -> W:404",
-        "skipping term '---' (W:3): normalises to nothing"]
+    assert cold[1][2] == (
+        "conceptkit: warning: o.obo:line 16: repeated id W:2 replaces the "
+        "earlier stanza\n"
+        "conceptkit: warning: o.obo: dropping dangling is_a W:2 -> W:404\n"
+        "conceptkit: warning: skipping term '---' (W:3): normalises to "
+        "nothing\n")

@@ -107,10 +107,12 @@ def test_each_reader_adds_file_and_line_in_one_place():
 
 def test_import_loads_no_dataclass_or_typing_machinery():
     """Every command pays for what `import conceptkit.cli` loads.
-    `dataclasses` alone loads `inspect`, `ast` and `dis`; under -S no
-    site-packages `.pth` file preloads any of these first."""
+    `dataclasses` alone loads `inspect`, `ast` and `dis`, and `logging`
+    loads `traceback` and `threading`; under -S no site-packages `.pth`
+    file preloads any of these first."""
     code = ("import sys, conceptkit.cli\n"
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'logging',"
+            " 'traceback', 'threading'} & set(sys.modules)))")
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)

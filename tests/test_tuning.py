@@ -78,18 +78,30 @@ START_METHOD_SCRIPT = """
 import multiprocessing
 import sys
 
-from conceptkit import grid_search, make_folds
+from conceptkit import grid_search, make_folds, take_warnings
+from conceptkit.errors import add_warnings
 from conceptkit.tuning import STRATEGY_ORDER
 from helpers import id_favouring_corpus, tree_graph
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
     gold, predictions = id_favouring_corpus(20)
+    for doc_id in ("doc03", "doc06"):  # a neural ID that no graph holds
+        (rows,) = predictions[doc_id]
+        rows[1] = rows[1]._replace(id_tag="NOPE:" + doc_id)
     plan = make_folds(sorted(gold), 4, seed=2)
     graph = tree_graph()
     serial = grid_search(gold, predictions, STRATEGY_ORDER, plan, graph)
+    warnings = take_warnings()
+    ((template, (count, message)),) = warnings.items()
+    assert count > 2 and message.startswith("concept NOPE:doc"), warnings
     assert grid_search(gold, predictions, STRATEGY_ORDER, plan, graph,
                        jobs=2) == serial
+    assert take_warnings() == warnings
+    # forked workers start with these counts and must not add them again
+    add_warnings(warnings)
+    grid_search(gold, predictions, STRATEGY_ORDER, plan, graph, jobs=2)
+    assert take_warnings() == {template: (2 * count, message)}
 """
 
 
