@@ -53,27 +53,27 @@ _PRECEDENCE = {
 }
 
 
-def _route(strategy: HarmonisationStrategy, span_tag: SpanTag, id_tag: str,
-           dict_ids: tuple[str, ...]) -> str | None:
-    """The source that labels a token: 'span', 'id', or None for O/NIL.
+#: Each strategy's route for a token, keyed by what the two sources
+#: accept: 'span', 'id', or None for O/NIL.
+_ROUTES = {
+    strategy: {(span, id_): next((source for source in sources
+                                  if {"span": span, "id": id_}[source]), None)
+               for span in (False, True) for id_ in (False, True)}
+    for strategy, sources in _PRECEDENCE.items()
+}
 
-    The span source accepts a relevant span tag with dictionary support,
-    the ID source any non-NIL ID.
-    """
-    for source in _PRECEDENCE[strategy]:
-        if source == "span":
-            if span_tag.relevant and dict_ids:
-                return source
-        elif id_tag != NIL:
-            return source
-    return None
+
+def _accepts(span_tag: SpanTag, id_tag: str, dict_ids: tuple) -> tuple:
+    """Whether the span source accepts a token (a relevant span tag with
+    dictionary support) and whether the ID source does (a non-NIL ID)."""
+    return span_tag.relevant and bool(dict_ids), id_tag != NIL
 
 
 def harmonise_token(p: TokenPrediction,
                     strategy: HarmonisationStrategy) -> tuple[SpanTag, str]:
     """Token-level label under the given strategy."""
-    route = _route(HarmonisationStrategy(strategy), p.span_tag, p.nn_id,
-                   p.dict_ids)
+    route = _ROUTES[HarmonisationStrategy(strategy)][
+        _accepts(p.span_tag, p.nn_id, p.dict_ids)]
     if route == "span":
         return p.span_tag, min(p.dict_ids)
     if route == "id":
@@ -81,9 +81,9 @@ def harmonise_token(p: TokenPrediction,
     return SpanTag.O, NIL
 
 
-def _sentence_entities(rows: list[ConllRow],
-                       strategy: HarmonisationStrategy):
-    """(first, last, concept) of each mention in one sentence.
+def _sentence_entities(rows: list[ConllRow], routes: tuple):
+    """(first, last, concept) of each mention in one sentence whose
+    tokens take the given routes.
 
     An ID-routed token takes its ID tag. A span-routed token takes the
     lowest CURIE its span block shares or, when the block shares none,
@@ -93,8 +93,6 @@ def _sentence_entities(rows: list[ConllRow],
     carry the same concept, unless it opens a span entity right after a
     span-routed token.
     """
-    routes = [_route(strategy, r.span_tag, r.id_tag, r.dict_features)
-              for r in rows]
     concepts = [r.id_tag for r in rows]
     opens = [False] * len(rows)
     if "span" in routes:
@@ -120,15 +118,34 @@ def _sentence_entities(rows: list[ConllRow],
     return entities
 
 
-def harmonise_document(sentences: list[list[ConllRow]],
-                       strategy: HarmonisationStrategy) -> list[Annotation]:
-    """Merge the three prediction columns into one annotation stream.
+def harmonise_strategies(sentences: list[list[ConllRow]],
+                         strategies) -> list[list[Annotation]]:
+    """Merge the three prediction columns into one annotation stream per
+    strategy, in the order given.
 
     Rows carry the span classifier's tag in span_tag, the ID
     classifier's concept in id_tag, and the dictionary candidates in
-    dict_features. Entities never cross sentence boundaries.
+    dict_features. Entities never cross sentence boundaries. What the
+    sources accept is found once per token, and strategies that route a
+    sentence alike share its annotations.
     """
-    strategy = HarmonisationStrategy(strategy)
-    return [block_annotation(concept, rows, first, last)
-            for rows in sentences
-            for first, last, concept in _sentence_entities(rows, strategy)]
+    tables = [_ROUTES[HarmonisationStrategy(s)] for s in strategies]
+    outputs = [[] for _ in tables]
+    for rows in sentences:
+        accepts = [_accepts(r.span_tag, r.id_tag, r.dict_features)
+                   for r in rows]
+        shared = {}  # routes -> the sentence's annotations
+        for out, table in zip(outputs, tables):
+            routes = tuple(map(table.__getitem__, accepts))
+            if routes not in shared:
+                shared[routes] = [
+                    block_annotation(concept, rows, first, last)
+                    for first, last, concept in _sentence_entities(rows, routes)]
+            out.extend(shared[routes])
+    return outputs
+
+
+def harmonise_document(sentences: list[list[ConllRow]],
+                       strategy: HarmonisationStrategy) -> list[Annotation]:
+    """`harmonise_strategies` under one strategy."""
+    return harmonise_strategies(sentences, [strategy])[0]

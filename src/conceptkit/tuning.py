@@ -19,7 +19,7 @@ from .codec import block_concept, block_tags, iter_blocks
 from .dicttag import longest_leftmost, normalize_term
 from .errors import ConceptKitError, add_warnings, take_warnings
 from .evaluate import EvalCounts, fscore, score_document, slot_error_rate
-from .harmonise import HarmonisationStrategy, harmonise_document
+from .harmonise import HarmonisationStrategy, harmonise_strategies
 from .model import NIL, Annotation, ConllRow, SpanTag, TextSpan
 from .ontology import DEFAULT_DECAY, OntologyGraph
 
@@ -57,23 +57,30 @@ StrategyResult = namedtuple("StrategyResult",
                             "strategy mean_f mean_ser fold_counts")
 
 
-_worker_context = None  # (tasks, graph, decay), set in each worker by _init_worker
+_worker_context = None  # grid_search's context, set in each worker by _init_worker
 
 
-def _init_worker(tasks: list, graph: OntologyGraph, decay: float) -> None:
+def _init_worker(*context) -> None:
     global _worker_context
-    _worker_context = (tasks, graph, decay)
+    _worker_context = context
     take_warnings()  # a forked worker's copy of the parent's counts
 
 
-def _score_cell(i: int, context=None) -> tuple[EvalCounts, dict]:
-    """Counts of task i, one strategy on one document, and the warnings
-    taken after it; workers omit `context`."""
-    tasks, graph, decay = context or _worker_context
-    strategy, rows, refs = tasks[i]
-    counts = score_document(harmonise_document(rows, strategy), refs, graph,
-                            decay)
-    return counts, take_warnings()
+def _score_document(i: int, context=None) -> list[tuple[EvalCounts, dict]]:
+    """(counts, warnings taken after scoring) of task i, one document,
+    under each strategy; a strategy whose output repeats an earlier
+    one's reuses its pair. Workers omit `context`."""
+    tasks, strategies, graph, decay = context or _worker_context
+    rows, refs = tasks[i]
+    scored = {}  # output -> (counts, warnings)
+    cells = []
+    for preds in harmonise_strategies(rows, strategies):
+        key = tuple(preds)
+        if key not in scored:
+            scored[key] = (score_document(preds, refs, graph, decay),
+                           take_warnings())
+        cells.append(scored[key])
+    return cells
 
 
 def grid_search(gold: dict[str, list[Annotation]],
@@ -85,9 +92,11 @@ def grid_search(gold: dict[str, list[Annotation]],
 
     Ranking is deterministic: exact ties fall back to the canonical
     strategy order, and a repeated strategy is ranked once. Each
-    (strategy, document) pair is scored once and a fold's counts are
-    the sum over its documents; with jobs > 1 the pairs are scored in
-    that many worker processes, and their warnings are counted here.
+    document is harmonised under every strategy at once and each
+    distinct output scored once; a fold's counts are the sum over its
+    documents. With jobs > 1 the documents are scored in that many
+    worker processes. Warnings are counted here once per (strategy,
+    document) pair, also where a pair reuses another's scoring.
     """
     missing = [d for d in gold if d not in predictions]
     if missing:
@@ -99,9 +108,10 @@ def grid_search(gold: dict[str, list[Annotation]],
     if not strategies:
         raise ConceptKitError("no strategies to compare")
     folds = [plan.fold_docs(f) for f in range(plan.k)]
-    tasks = [(s, predictions[d], gold[d])
-             for fold in folds for d in fold for s in strategies]
-    context = (tasks, graph, decay)
+    tasks = [(predictions[d], gold[d]) for fold in folds for d in fold]
+    context = (tasks, strategies, graph, decay)
+    # put aside, so that a reused scoring repeats only its own warnings
+    earlier = take_warnings()
     workers = min(jobs, len(tasks))
     if workers > 1:
         # imported here: multiprocessing takes tens of milliseconds to
@@ -110,10 +120,13 @@ def grid_search(gold: dict[str, list[Annotation]],
         # workers get the tasks once, at start; calls carry only indexes
         with ProcessPoolExecutor(workers, initializer=_init_worker,
                                  initargs=context) as pool:
-            cells = list(pool.map(_score_cell, range(len(tasks)),
-                                  chunksize=-(-len(tasks) // (4 * workers))))
+            documents = list(pool.map(
+                _score_document, range(len(tasks)),
+                chunksize=-(-len(tasks) // (4 * workers))))
     else:
-        cells = [_score_cell(i, context) for i in range(len(tasks))]
+        documents = [_score_document(i, context) for i in range(len(tasks))]
+    cells = [cell for document in documents for cell in document]
+    add_warnings(earlier)
     for _, warnings in cells:  # in task order, whichever process scored it
         add_warnings(warnings)
     counts = [cell_counts for cell_counts, _ in cells]

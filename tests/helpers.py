@@ -13,10 +13,12 @@ from conceptkit import (NIL, Annotation, ConllRow, Document, OntologyGraph,
 from conceptkit.codec import iter_blocks
 from conceptkit.dicttag import _spell_greek
 from conceptkit.errors import warn
-from conceptkit.evaluate import EvalCounts, pair_similarity
-from conceptkit.harmonise import _route
+from conceptkit.evaluate import (EvalCounts, fscore, pair_similarity,
+                                 score_document, slot_error_rate)
+from conceptkit.harmonise import HarmonisationStrategy, harmonise_document
 from conceptkit.ontology import Concept
 from conceptkit.simplify import UnnestStrategy, _beats
+from conceptkit.tuning import STRATEGY_ORDER, StrategyResult
 
 # Three-node chain: C is_a B is_a A.
 CHAIN_OBO = """\
@@ -488,6 +490,26 @@ def _span_block_entities(rows, first, last):
     return entities
 
 
+def reference_route(strategy, row):
+    """The source that labels a row: 'span', 'id', or None for O/NIL.
+
+    A copy of the routing rule written apart from `harmonise`'s table,
+    so that the oracles do not share the rule they check: the span
+    source accepts an entity tag with dictionary candidates, the ID
+    source any non-NIL ID.
+    """
+    span = row.span_tag is not SpanTag.O and len(row.dict_features) > 0
+    ident = row.id_tag != NIL
+    strategy = HarmonisationStrategy(strategy)
+    if strategy is HarmonisationStrategy.SPANS_ONLY:
+        return "span" if span else None
+    if strategy is HarmonisationStrategy.IDS_ONLY:
+        return "id" if ident else None
+    if strategy is HarmonisationStrategy.SPANS_FIRST:
+        return "span" if span else "id" if ident else None
+    return "id" if ident else "span" if span else None
+
+
 def split_merge_entities(rows, strategy):
     """(first, last, concept) mentions of one sentence, by split and merge.
 
@@ -496,8 +518,7 @@ def split_merge_entities(rows, strategy):
     and token-adjacent pieces of one concept are merged back, except
     across an explicit span-tag boundary (...E B...).
     """
-    routes = [_route(strategy, r.span_tag, r.id_tag, r.dict_features)
-              for r in rows]
+    routes = [reference_route(strategy, r) for r in rows]
     entities = []
     i = 0
     while i < len(rows):
@@ -530,6 +551,32 @@ def split_merge_entities(rows, strategy):
                 continue
         merged.append(entity)
     return merged
+
+
+def reference_grid_search(gold, predictions, strategies, plan, graph,
+                          decay=0.8):
+    """`tuning.grid_search` as one loop over (fold, document, strategy)
+    cells: every cell is harmonised and scored on its own, and its
+    warnings are counted as they come."""
+    strategies = list(dict.fromkeys(HarmonisationStrategy(s)
+                                    for s in strategies))
+    fold_counts = {s: [EvalCounts()] * plan.k for s in strategies}
+    for fold in range(plan.k):
+        for doc_id in plan.fold_docs(fold):
+            for s in strategies:
+                preds = harmonise_document(predictions[doc_id], s)
+                fold_counts[s][fold] += score_document(preds, gold[doc_id],
+                                                       graph, decay)
+    results = []
+    for s in strategies:
+        fs = [fscore(c)[2] for c in fold_counts[s]]
+        sers = [slot_error_rate(c) for c in fold_counts[s]]
+        results.append(StrategyResult(s, sum(fs) / len(fs),
+                                      sum(sers) / len(sers),
+                                      tuple(fold_counts[s])))
+    rank = STRATEGY_ORDER.index
+    results.sort(key=lambda r: (-r.mean_f, r.mean_ser, rank(r.strategy)))
+    return results
 
 
 def rows_from_tuples(tuples: list[tuple]) -> list[ConllRow]:

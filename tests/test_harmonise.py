@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conceptkit import (NIL, Annotation, SpanTag, TextSpan,
                         harmonise_document, harmonise_token)
 from conceptkit.harmonise import (PLACEHOLDER_TAG, HarmonisationStrategy,
-                                  TokenPrediction)
+                                  TokenPrediction, harmonise_strategies)
 
 from helpers import rows_from_tuples, split_merge_entities
 
@@ -376,3 +376,21 @@ def test_single_pass_matches_split_merge_reference(columns):
                                           rows[last].span.end),))
             for first, last, concept in split_merge_entities(rows, strategy)]
         assert harmonise_document([rows], strategy) == expected
+
+
+@given(st.lists(st.one_of(segmented_columns(),
+                          st.lists(token_columns, min_size=1, max_size=10)),
+                min_size=1, max_size=3),
+       st.lists(st.sampled_from(list(HarmonisationStrategy)), min_size=1,
+                max_size=6))
+def test_all_strategies_at_once_match_one_at_a_time(sentences, strategies):
+    """Sharing a sentence's annotations between strategies that route it
+    alike changes no strategy's output."""
+    document, start = [], 0
+    for columns in sentences:
+        document.append(rows_from_tuples(
+            [("t", start + 2 * i, start + 2 * i + 1, tag, nn, feats)
+             for i, (tag, nn, feats) in enumerate(columns)]))
+        start += 2 * len(columns)
+    assert harmonise_strategies(document, strategies) == [
+        harmonise_document(document, s) for s in strategies]

@@ -9,18 +9,20 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conceptkit
 from conceptkit import (NIL, ConllRow, SpanTag, TextSpan, grid_search,
                         harmonise_document, make_folds, score_document,
                         select_strategy)
-from conceptkit.errors import ConceptKitError
+from conceptkit.errors import ConceptKitError, take_warnings, warn
 from conceptkit.evaluate import EvalCounts
 from conceptkit.harmonise import HarmonisationStrategy
 from conceptkit.tuning import STRATEGY_ORDER, FoldPlan, LexiconTagger
 
-from helpers import (entity_rows, id_favouring_corpus, rows_from_tuples,
-                     span_favouring_corpus, tree_graph)
+from helpers import (entity_rows, id_favouring_corpus, reference_grid_search,
+                     rows_from_tuples, span_favouring_corpus, tree_graph)
 
 
 class TestMakeFolds:
@@ -72,6 +74,87 @@ def mixed_corpus(n_docs):
         gold[doc_id] = span_gold[doc_id]
         predictions[doc_id] = span_predictions[doc_id]
     return gold, predictions
+
+
+#: Concepts of the generated corpora; GONE:1 is in no graph, so a pair
+#: that names it warns each time it is scored.
+CONCEPTS = ["TR:0001", "TR:0002", "TR:0006", "GONE:1"]
+
+
+@st.composite
+def agreeing_columns(draw):
+    """(span tag, ID, features) per token of a sentence that every
+    strategy harmonises alike: each mention is a span block whose tokens
+    carry its concept as ID and as their one candidate, and an O/NIL
+    token follows it."""
+    columns = []
+    for concept in draw(st.lists(st.sampled_from([None, *CONCEPTS]),
+                                 min_size=1, max_size=4)):
+        if concept:
+            n = draw(st.integers(1, 3))
+            tags = ["S"] if n == 1 else ["B", *["I"] * (n - 2), "E"]
+            columns.extend((tag, concept, [concept]) for tag in tags)
+        columns.append(("O", NIL, draw(st.sampled_from([[], CONCEPTS[:1]]))))
+    return columns
+
+
+free_columns = st.lists(
+    st.tuples(st.sampled_from("BIESO"), st.sampled_from([NIL, *CONCEPTS]),
+              st.lists(st.sampled_from(CONCEPTS), max_size=2,
+                       unique=True).map(sorted)),
+    min_size=1, max_size=8)
+
+
+@st.composite
+def tuning_inputs(draw):
+    """gold, predictions, strategies and fold plan of 2-6 documents whose
+    predictions either route alike under every strategy or are free, so
+    strategies disagree; gold is drawn apart, over the same offsets."""
+    columns = agreeing_columns() if draw(st.booleans()) else free_columns
+    gold, predictions = {}, {}
+    for d in range(draw(st.integers(2, 6))):
+        sentences, refs, start = [], [], 0
+        for _ in range(draw(st.integers(1, 3))):
+            pred, ref = draw(columns), draw(agreeing_columns())
+            sentences.append(rows_from_tuples(
+                [("t", start + 2 * i, start + 2 * i + 1, *c)
+                 for i, c in enumerate(pred)]))
+            refs += harmonise_document([rows_from_tuples(
+                [("t", start + 2 * i, start + 2 * i + 1, *c)
+                 for i, c in enumerate(ref)])], "ids-only")
+            start += 2 * max(len(pred), len(ref))
+        gold[f"doc{d}"], predictions[f"doc{d}"] = refs, sentences
+    strategies = draw(st.lists(st.sampled_from(STRATEGY_ORDER), min_size=1,
+                               max_size=5))
+    plan = make_folds(sorted(gold), draw(st.integers(2, len(gold))),
+                      seed=draw(st.integers(0, 3)))
+    return gold, predictions, strategies, plan
+
+
+def check_against_reference(inputs, earlier, jobs):
+    """grid_search ranks and warns as the per-cell reference does, also
+    after warnings counted before it."""
+    graph = tree_graph()
+    take_warnings()
+    for _ in range(earlier):
+        warn("earlier warning %d", earlier)
+    want = reference_grid_search(*inputs, graph)
+    want_warnings = take_warnings()
+    for _ in range(earlier):
+        warn("earlier warning %d", earlier)
+    assert grid_search(*inputs, graph, jobs=jobs) == want
+    assert take_warnings() == want_warnings
+
+
+@given(tuning_inputs(), st.integers(0, 2))
+def test_grid_search_matches_per_cell_reference(inputs, earlier):
+    check_against_reference(inputs, earlier, jobs=1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(tuning_inputs(), st.integers(0, 2))
+def test_parallel_grid_search_matches_per_cell_reference(inputs, earlier):
+    check_against_reference(inputs, earlier, jobs=2)
 
 
 START_METHOD_SCRIPT = """
@@ -202,7 +285,8 @@ class TestGridSearch:
 
     def test_workers_receive_only_task_indexes(self, graph, monkeypatch):
         """The workers get the corpus once, from their initializer, so
-        the mapped calls carry task indexes and no rows or references."""
+        the mapped calls carry one task index per document and no rows
+        or references."""
         sent = []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -218,7 +302,7 @@ class TestGridSearch:
         serial = grid_search(gold, predictions, STRATEGY_ORDER, plan, graph)
         assert grid_search(gold, predictions, STRATEGY_ORDER, plan, graph,
                            jobs=2) == serial
-        assert len(sent) == len(gold) * len(STRATEGY_ORDER)
+        assert len(sent) == len(gold)
         assert all(type(x) is int for x in sent)
 
     @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
