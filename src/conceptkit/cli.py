@@ -352,8 +352,8 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
     except (ConceptKitError, OSError, ValueError, KeyError) as exc:
         code, error = 1, exc
-    for count, message in take_warnings().values():
-        more = f" ({count - 1} more like it)" if count > 1 else ""
+    for message, *others in take_warnings().values():
+        more = f" ({len(others)} more like it)" if others else ""
         print(f"conceptkit: warning: {message}{more}", file=sys.stderr)
     if error is not None:
         print(f"conceptkit: error: {error}", file=sys.stderr)

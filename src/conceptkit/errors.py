@@ -21,26 +21,23 @@ class ParseError(ConceptKitError):
         super().__init__(prefix + message)
 
 
-_counted: dict[str, list] = {}  # template -> [count, first message]
+_counted: dict[str, dict[str, None]] = {}  # template -> its distinct messages
 
 
 def warn(template: str, *args) -> None:
-    """Count a warning; the first of its template keeps `template % args`."""
-    if template in _counted:
-        _counted[template][0] += 1
-    else:
-        _counted[template] = [1, template % args]
+    """File `template % args` under its template; a repeat counts once."""
+    _counted.setdefault(template, {})[template % args] = None
 
 
-def take_warnings() -> dict[str, tuple[int, str]]:
-    """{template: (count, first message)} of the warnings counted since
-    the last take, in order of first use; counting starts again."""
-    taken = {template: tuple(seen) for template, seen in _counted.items()}
+def take_warnings() -> dict[str, tuple[str, ...]]:
+    """{template: (message, ...)} of the distinct warnings since the last
+    take, each in order of first use; counting starts again."""
+    taken = {template: tuple(messages) for template, messages in _counted.items()}
     _counted.clear()
     return taken
 
 
-def add_warnings(taken: dict[str, tuple[int, str]]) -> None:
-    """Count the warnings of a `take_warnings` result again."""
-    for template, (count, message) in taken.items():
-        _counted.setdefault(template, [0, message])[0] += count
+def add_warnings(taken: dict[str, tuple[str, ...]]) -> None:
+    """Count a `take_warnings` result's messages; a repeat counts once."""
+    for template, messages in taken.items():
+        _counted.setdefault(template, {}).update(dict.fromkeys(messages))

@@ -69,8 +69,8 @@ def extend_subword(doc: Document, tokens: list[tuple[str, TextSpan]]) -> Documen
         first = bisect_right(ends, ann.start)
         last = bisect_left(starts, ann.end) - 1
         if first > last:
-            warn("%s: dropping annotation %s at %s: overlaps no token",
-                 doc.doc_id, ann.concept_id, ann.spans)
+            warn("%s: dropping annotation %s at %d %d: overlaps no token",
+                 doc.doc_id, ann.concept_id, ann.start, ann.end)
             continue
         span = TextSpan(starts[first], ends[last])
         result.append(Annotation(ann.concept_id, (span,)))

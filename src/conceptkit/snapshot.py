@@ -44,7 +44,7 @@ from .formats import decode_text, read_bytes
 from .ontology import Concept, OntologyGraph, _hierarchy, parse_obo
 
 #: Part of every key; a change to the layout of a snapshot changes it.
-FORMAT = f"conceptkit snapshot 3, marshal {marshal.version}"
+FORMAT = f"conceptkit snapshot 4, marshal {marshal.version}"
 #: Snapshot files kept: CRAFT's 20 annotation sets, a graph and an index each.
 KEEP = 40
 #: The directory whose modules' source every key covers.
@@ -169,6 +169,8 @@ def _read(part: str, key: str, terms: bool = False):
         _cache_dir() / f"{part}-{key}.marshal", 6 if terms else 3)
     columns = [column for block in blocks for column in block]
     if (stored_key != key or type(warnings) is not dict
+            or any(type(messages) is not tuple or set(map(type, messages)) != {str}
+                   for messages in warnings.values())
             or len(set(map(len, columns))) != 1):
         raise ValueError("not the expected snapshot")
     if part == "graph":

@@ -63,24 +63,27 @@ _worker_context = None  # grid_search's context, set in each worker by _init_wor
 def _init_worker(*context) -> None:
     global _worker_context
     _worker_context = context
-    take_warnings()  # a forked worker's copy of the parent's counts
+    take_warnings()  # a forked worker's copy of the parent's: not sent back
 
 
-def _score_document(i: int, context=None) -> list[tuple[EvalCounts, dict]]:
-    """(counts, warnings taken after scoring) of task i, one document,
-    under each strategy; a strategy whose output repeats an earlier
-    one's reuses its pair. Workers omit `context`."""
-    tasks, strategies, graph, decay = context or _worker_context
+def _score_document(i: int, context) -> list[EvalCounts]:
+    """The counts of task i, one document, under each strategy; a
+    strategy whose output repeats an earlier one's reuses its counts."""
+    tasks, strategies, graph, decay = context
     rows, refs = tasks[i]
-    scored = {}  # output -> (counts, warnings)
+    scored = {}  # output -> counts
     cells = []
     for preds in harmonise_strategies(rows, strategies):
         key = tuple(preds)
         if key not in scored:
-            scored[key] = (score_document(preds, refs, graph, decay),
-                           take_warnings())
+            scored[key] = score_document(preds, refs, graph, decay)
         cells.append(scored[key])
     return cells
+
+
+def _score_in_worker(i: int) -> tuple[list[EvalCounts], dict]:
+    """`_score_document` of task i in a worker, with its warnings."""
+    return _score_document(i, _worker_context), take_warnings()
 
 
 def grid_search(gold: dict[str, list[Annotation]],
@@ -95,8 +98,8 @@ def grid_search(gold: dict[str, list[Annotation]],
     document is harmonised under every strategy at once and each
     distinct output scored once; a fold's counts are the sum over its
     documents. With jobs > 1 the documents are scored in that many
-    worker processes. Warnings are counted here once per (strategy,
-    document) pair, also where a pair reuses another's scoring.
+    worker processes. A warning counts once (see `errors.warn`),
+    however many strategies, folds or workers meet it.
     """
     missing = [d for d in gold if d not in predictions]
     if missing:
@@ -110,8 +113,6 @@ def grid_search(gold: dict[str, list[Annotation]],
     folds = [plan.fold_docs(f) for f in range(plan.k)]
     tasks = [(predictions[d], gold[d]) for fold in folds for d in fold]
     context = (tasks, strategies, graph, decay)
-    # put aside, so that a reused scoring repeats only its own warnings
-    earlier = take_warnings()
     workers = min(jobs, len(tasks))
     if workers > 1:
         # imported here: multiprocessing takes tens of milliseconds to
@@ -120,16 +121,15 @@ def grid_search(gold: dict[str, list[Annotation]],
         # workers get the tasks once, at start; calls carry only indexes
         with ProcessPoolExecutor(workers, initializer=_init_worker,
                                  initargs=context) as pool:
-            documents = list(pool.map(
-                _score_document, range(len(tasks)),
-                chunksize=-(-len(tasks) // (4 * workers))))
+            documents = []
+            for cells, warnings in pool.map(
+                    _score_in_worker, range(len(tasks)),
+                    chunksize=-(-len(tasks) // (4 * workers))):
+                documents.append(cells)
+                add_warnings(warnings)  # in task order, as jobs=1 counts them
     else:
         documents = [_score_document(i, context) for i in range(len(tasks))]
-    cells = [cell for document in documents for cell in document]
-    add_warnings(earlier)
-    for _, warnings in cells:  # in task order, whichever process scored it
-        add_warnings(warnings)
-    counts = [cell_counts for cell_counts, _ in cells]
+    counts = [cell for document in documents for cell in document]
     results = []
     for i, strategy in enumerate(strategies):
         doc_counts = iter(counts[i::len(strategies)])

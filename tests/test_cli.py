@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -444,7 +445,45 @@ class TestWarnings:
         assert capsys.readouterr().err == (
             f"conceptkit: warning: {obo}: dropping dangling is_a X:1 -> X:404\n"
             "conceptkit: warning: concept X:7 not in ontology: similarity 0"
-            " (2 more like it)\n")
+            " (1 more like it)\n")  # X:7 twice and X:8 are two concepts
+
+    def test_grid_warns_as_one_combination(self, corpus, capsys):
+        """An annotation that overlaps no token is dropped under all six
+        combinations and is one warning."""
+        (corpus / "gold" / "doc3.txt").write_text("ab   cd\n")
+        (corpus / "gold" / "doc3.ann").write_text("T1\tTR:0001 3 4\t \n")
+        errors = []
+        for grid in ([], ["--grid"]):
+            assert run("roundtrip-eval", corpus / "gold", *grid,
+                       "--ontology", corpus / "onto.obo") == 0
+            errors.append(capsys.readouterr().err)
+        assert errors == [
+            "conceptkit: warning: doc3: dropping annotation TR:0001 at 3 4: "
+            "overlaps no token\n"] * 2
+
+    def test_tune_warns_alike_for_any_strategies_and_jobs(self, corpus,
+                                                           capsys):
+        """Concepts missing from the ontology are counted once each,
+        however many strategies score them and in how many processes."""
+        (corpus / "gold" / "doc2.ann").write_text(
+            DOC2_ANN + "T2\tGONE:1 10 15\talone\n")
+        (corpus / "gold" / "doc3.txt").write_text("gone word\n")
+        (corpus / "gold" / "doc3.ann").write_text(
+            "T1\tGONE:1 0 4\tgone\nT2\tGONE:2 5 9\tword\n")
+        run("convert", corpus / "gold", corpus / "conll")
+        for conll in (corpus / "conll").iterdir():  # the dictionary agrees
+            conll.write_text(re.sub(r"\t(GONE:\d)\t-$", r"\t\1\t\1",
+                                    conll.read_text(), flags=re.M))
+        errors = []
+        for flags in (["--strategies", "spans-only"], [], ["--jobs", "2"]):
+            assert run("tune", corpus / "gold", corpus / "conll",
+                       "--ontology", corpus / "onto.obo", "--folds", "2",
+                       *flags) == 0
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == errors[2]
+        assert errors[0].endswith(
+            "not in ontology: similarity 0 (1 more like it)\n")
+        assert errors[0].count("\n") == 1
 
     def test_warnings_come_before_the_error(self, corpus, capsys):
         (corpus / "gold" / "doc2.ann").write_text("T1\tTR:0003 0 9\tsyn3 farm\n")

@@ -81,7 +81,7 @@ class TestBuildIndex:
         index = build_index(graph, [("---", "X:1")])
         assert take_warnings() == {
             "skipping term %r (%s): normalises to nothing":
-                (1, "skipping term '---' (X:1): normalises to nothing")}
+                ("skipping term '---' (X:1): normalises to nothing",)}
         assert len(index) == 1
 
     def test_equal_tokens_are_one_object(self):

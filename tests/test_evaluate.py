@@ -37,7 +37,7 @@ class TestPairSimilarity:
         assert m == 0.0
         assert take_warnings() == {
             "concept %s not in ontology: similarity 0":
-                (1, "concept NOPE:1 not in ontology: similarity 0")}
+                ("concept NOPE:1 not in ontology: similarity 0",)}
 
     def test_product_of_factors(self, chain_graph):
         p = ann("TEST:B", 0, 4)

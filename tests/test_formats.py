@@ -137,9 +137,9 @@ class TestStandoff:
                              "doc", source="gold/doc.ann")
         assert len(doc.annotations) == 1
         assert doc.doc_id == "doc"
-        assert [message for _, message in take_warnings().values()] == [
+        assert list(take_warnings().values()) == [(
             "gold/doc.ann:1: text mismatch for T1: recorded 'wrong', "
-            "covered 'agent'"]
+            "covered 'agent'",)]
 
     # str.splitlines ends a line at each of these, brat at none of them
     @pytest.mark.parametrize("breaker",

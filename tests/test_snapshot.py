@@ -93,8 +93,8 @@ def test_cold_and_warm_graphs_are_equal(obo, tmp_path, snapshot_cache,
     assert cold.concepts is warm.concepts is uncached.concepts is None
     assert warm_warnings == cold_warnings == uncached_warnings
     assert list(cold_warnings.values()) == [
-        (1, f"{obo}:line 16: repeated id W:2 replaces the earlier stanza"),
-        (1, f"{obo}: dropping dangling is_a W:2 -> W:404")]
+        (f"{obo}:line 16: repeated id W:2 replaces the earlier stanza",),
+        (f"{obo}: dropping dangling is_a W:2 -> W:404",)]
 
 
 def test_cold_and_warm_indexes_are_equal(obo, snapshot_cache, monkeypatch):
@@ -110,7 +110,7 @@ def test_cold_and_warm_indexes_are_equal(obo, snapshot_cache, monkeypatch):
     assert warm.max_len == expected.max_len
     assert warm_warnings == cold_warnings
     assert list(cold_warnings.values())[2:] == [
-        (1, "skipping term '---' (W:3): normalises to nothing")]
+        ("skipping term '---' (W:3): normalises to nothing",)]
 
 
 def test_graph_snapshot_serves_an_index_miss(obo, snapshot_cache, monkeypatch):
@@ -146,7 +146,7 @@ def test_path_is_part_of_the_key(obo, tmp_path, snapshot_cache):
     other.write_text(WARNING_OBO, encoding="utf-8")
     snapshot.load_graph(obo)
     _, warnings = load(snapshot.load_graph, str(other))
-    assert all(str(other) in message for _, message in warnings.values())
+    assert all(str(other) in message for (message,) in warnings.values())
     assert snapshots(snapshot_cache) == ["graph", "graph"]
 
 
@@ -286,6 +286,26 @@ def test_well_formed_snapshot_of_wrong_content_is_parsed(
         assert again.entries == warm.entries == cold.entries
 
 
+@pytest.mark.parametrize("warnings", [
+    {"%s: dropping dangling is_a %s -> %s": "abc"},
+    {"%s: dropping dangling is_a %s -> %s": ("abc", 1)},
+    {"%s: dropping dangling is_a %s -> %s": ()},
+], ids=["a string", "not all strings", "no message"])
+def test_warnings_record_of_wrong_shape_is_parsed(obo, snapshot_cache,
+                                                  monkeypatch, warnings):
+    """A hit counts only a record of message tuples; a string would
+    count one warning per character."""
+    cold, cold_warnings = load(snapshot.load_graph, obo)
+    (path,) = snapshot_cache.glob("graph-*")
+    key, _, *blocks = snapshot._records(path, 6)
+    path.write_bytes(stream([key, warnings, *blocks]))
+    parses = counted_parse(monkeypatch)
+    again, again_warnings = load(snapshot.load_graph, obo)
+    assert len(parses) == 1
+    assert again_warnings == cold_warnings
+    assert items(again) == items(cold)
+
+
 def test_a_graph_hit_reads_no_term_record(obo, snapshot_cache, monkeypatch):
     cold = snapshot.load_graph(obo)
     (path,) = snapshot_cache.glob("graph-*")
@@ -351,7 +371,8 @@ def test_missing_file_keeps_its_error(tmp_path):
 def test_earlier_warnings_are_counted_first_and_not_stored(
         obo, tmp_path, monkeypatch):
     """A load counts the warnings counted before it ahead of its own,
-    also when its parse fails, and its snapshot holds only its own."""
+    also when its parse fails, and its snapshot holds only its own; a
+    template keeps the distinct messages of both."""
     bad = tmp_path / "bad.obo"
     bad.write_text("[Term]\nid: X:1\nis_a: X:2\n\n[Term]\nid: X:2\nis_a: X:1\n",
                    encoding="utf-8")
@@ -362,9 +383,10 @@ def test_earlier_warnings_are_counted_first_and_not_stored(
         warn("%s: dropping dangling is_a %s -> %s", "earlier.obo", "X:1", "X:2")
         snapshot.load_graph(obo)
         assert list(take_warnings().items()) == [
-            ("earlier %s", (1, "earlier one")),
+            ("earlier %s", ("earlier one",)),
             (own_dangling[0],
-             (2, "earlier.obo: dropping dangling is_a X:1 -> X:2")),
+             ("earlier.obo: dropping dangling is_a X:1 -> X:2",
+              *own_dangling[1])),
             repeated]
     no_parse(monkeypatch)
     _, stored = load(snapshot.load_graph, obo)
@@ -373,7 +395,7 @@ def test_earlier_warnings_are_counted_first_and_not_stored(
     warn("earlier %s", "one")
     with pytest.raises(ParseError):
         snapshot.load_graph(str(bad))
-    assert take_warnings() == {"earlier %s": (1, "earlier one")}
+    assert take_warnings() == {"earlier %s": ("earlier one",)}
 
 
 def test_only_the_newest_snapshots_are_kept(tmp_path, snapshot_cache,

@@ -19,6 +19,7 @@ from conceptkit import (NIL, ConllRow, SpanTag, TextSpan, grid_search,
 from conceptkit.errors import ConceptKitError, take_warnings, warn
 from conceptkit.evaluate import EvalCounts
 from conceptkit.harmonise import HarmonisationStrategy
+from conceptkit import tuning
 from conceptkit.tuning import STRATEGY_ORDER, FoldPlan, LexiconTagger
 
 from helpers import (entity_rows, id_favouring_corpus, reference_grid_search,
@@ -77,7 +78,7 @@ def mixed_corpus(n_docs):
 
 
 #: Concepts of the generated corpora; GONE:1 is in no graph, so a pair
-#: that names it warns each time it is scored.
+#: that names it warns.
 CONCEPTS = ["TR:0001", "TR:0002", "TR:0006", "GONE:1"]
 
 
@@ -169,22 +170,25 @@ from helpers import id_favouring_corpus, tree_graph
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
     gold, predictions = id_favouring_corpus(20)
-    for doc_id in ("doc03", "doc06"):  # a neural ID that no graph holds
-        (rows,) = predictions[doc_id]
-        rows[1] = rows[1]._replace(id_tag="NOPE:" + doc_id)
+    # neural IDs that no graph holds: NOPE:1 in every document, so that
+    # each worker meets it, and NOPE:2 in one
+    for doc_id, (rows,) in predictions.items():
+        concept = "NOPE:2" if doc_id == "doc06" else "NOPE:1"
+        rows[1] = rows[1]._replace(id_tag=concept)
     plan = make_folds(sorted(gold), 4, seed=2)
     graph = tree_graph()
     serial = grid_search(gold, predictions, STRATEGY_ORDER, plan, graph)
     warnings = take_warnings()
-    ((template, (count, message)),) = warnings.items()
-    assert count > 2 and message.startswith("concept NOPE:doc"), warnings
+    ((template, messages),) = warnings.items()
+    assert sorted(messages) == [
+        f"concept NOPE:{n} not in ontology: similarity 0" for n in (1, 2)]
     assert grid_search(gold, predictions, STRATEGY_ORDER, plan, graph,
                        jobs=2) == serial
     assert take_warnings() == warnings
-    # forked workers start with these counts and must not add them again
+    # forked workers start with these warnings and send them back
     add_warnings(warnings)
     grid_search(gold, predictions, STRATEGY_ORDER, plan, graph, jobs=2)
-    assert take_warnings() == {template: (2 * count, message)}
+    assert take_warnings() == warnings
 """
 
 
@@ -316,6 +320,42 @@ class TestGridSearch:
         proc = subprocess.run([sys.executable, str(script), method], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_earlier_warnings_survive_a_failed_search(self, graph,
+                                                      monkeypatch):
+        """A scorer that fails on the second document leaves the warnings
+        counted before the search, and the first document's, counted."""
+        scored = []
+
+        def fail_second(preds, refs, graph, decay):
+            scored.append(refs)
+            if len(scored) == 2:
+                raise ConceptKitError("scorer failed")
+            warn("scored %s", "first")
+            return score_document(preds, refs, graph, decay)
+
+        monkeypatch.setattr(tuning, "score_document", fail_second)
+        gold, predictions = mixed_corpus(4)
+        take_warnings()
+        warn("earlier %s", "one")
+        with pytest.raises(ConceptKitError, match="scorer failed"):
+            grid_search(gold, predictions, STRATEGY_ORDER,
+                        make_folds(sorted(gold), 2), graph)
+        assert take_warnings() == {"earlier %s": ("earlier one",),
+                                   "scored %s": ("scored first",)}
+
+    def test_workers_send_back_only_their_own_warnings(self, graph,
+                                                       monkeypatch):
+        """A forked worker starts with a copy of this process's warnings
+        and sends none of them back."""
+        sent = []
+        monkeypatch.setattr(tuning, "add_warnings", sent.append)
+        gold, predictions = mixed_corpus(10)
+        warn("earlier %s", "one")
+        grid_search(gold, predictions, STRATEGY_ORDER,
+                    make_folds(sorted(gold), 5, seed=1), graph, jobs=2)
+        assert len(sent) == len(gold)
+        assert not any("earlier %s" in taken for taken in sent)
 
     def test_select_requires_rows(self):
         with pytest.raises(ValueError):
