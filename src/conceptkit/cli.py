@@ -289,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pred", help="directory with .conll prediction files")
     p.add_argument("--folds", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes that score documents")
+    p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
+                   help="score documents in at most N processes")
     p.add_argument("--strategies", default=",".join(STRATEGY_CHOICES),
                    help="comma-separated strategy subset")
 

@@ -67,10 +67,6 @@ class OntologyGraph:
         self._parents, self.concepts, self._order = parents, concepts, order
         self._depth_cache = {}
 
-    def __reduce__(self):
-        # a pickle holds the hierarchy alone: workers score, they never index
-        return _hierarchy, (self._parents,)
-
     def __contains__(self, curie: str) -> bool:
         return curie in self._parents
 

@@ -11,7 +11,10 @@ predict concepts seen during training.
 from __future__ import annotations
 
 import json
+import marshal
+import os
 import random
+import sys
 from collections import Counter, namedtuple
 from itertools import islice
 
@@ -57,15 +60,6 @@ StrategyResult = namedtuple("StrategyResult",
                             "strategy mean_f mean_ser fold_counts")
 
 
-_worker_context = None  # grid_search's context, set in each worker by _init_worker
-
-
-def _init_worker(*context) -> None:
-    global _worker_context
-    _worker_context = context
-    take_warnings()  # a forked worker's copy of the parent's: not sent back
-
-
 def _score_document(i: int, context) -> list[EvalCounts]:
     """The counts of task i, one document, under each strategy; a
     strategy whose output repeats an earlier one's reuses its counts."""
@@ -81,9 +75,105 @@ def _score_document(i: int, context) -> list[EvalCounts]:
     return cells
 
 
-def _score_in_worker(i: int) -> tuple[list[EvalCounts], dict]:
-    """`_score_document` of task i in a worker, with its warnings."""
-    return _score_document(i, _worker_context), take_warnings()
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _can_fork() -> bool:
+    """Whether a child can be forked safely: a fork copies only the
+    calling thread, so another thread's locks could stay held in it."""
+    threading = sys.modules.get("threading")  # not loaded: none started
+    return hasattr(os, "fork") and (threading is None
+                                    or threading.active_count() == 1)
+
+
+def _score_share(share: int, workers: int, context, write: int) -> None:
+    """In a forked child: score tasks share, share + workers, ... and
+    write their counts and warnings to the pipe `write` as one marshal
+    record, then leave with os._exit (no atexit, no inherited buffer
+    flushed): status 0 once the record is written, else 1."""
+    status = 1
+    try:
+        record = []
+        for i in range(share, len(context[0]), workers):
+            cells = _score_document(i, context)
+            record.append((tuple(map(tuple, cells)), take_warnings()))
+        with open(write, "wb") as pipe:
+            marshal.dump(record, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _score_tasks(context, workers: int) -> list[list[EvalCounts]]:
+    """`_score_document` of every task, in task order, in `workers`
+    processes: this one scores the tasks i with i % workers == 0, forked
+    child k those with i % workers == k.
+
+    The counts, the warnings and any exception are those of scoring every
+    task here in order. A child that fails leaves its tasks to this
+    process, which scores them at their place in task order; this
+    process holds an exception of its own share until then. Every child
+    is reaped before this returns or raises.
+    """
+    n = len(context[0])
+    if workers < 2 or not _can_fork():
+        return [_score_document(i, context) for i in range(n)]
+    import signal  # here: its enums would cost every command about 1.5 ms
+    earlier = take_warnings()  # counted before: no child's to send back
+    children = {}  # pid -> read end of its pipe, until reaped
+    done = {}  # task -> (counts, warnings)
+    failure = None  # (task, exception, warnings) of this process's share
+    try:
+        for _ in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no more processes: this one scores the rest
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                _score_share(len(children) + 1, workers, context, write)
+            os.close(write)  # while any copy is open, its read sees no EOF
+            children[pid] = open(read, "rb")
+        for i in range(0, n, workers):
+            try:
+                cells = _score_document(i, context)
+            except Exception as error:
+                failure = i, error, take_warnings()
+                break
+            done[i] = cells, take_warnings()
+        for share, (pid, pipe) in enumerate(list(children.items()), 1):
+            record = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status == 0:
+                for i, (cells, warnings) in zip(range(share, n, workers),
+                                                marshal.loads(record)):
+                    done[i] = [EvalCounts._make(c) for c in cells], warnings
+    finally:
+        for pid, pipe in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+        add_warnings(earlier)
+    documents = []
+    for i in range(n):
+        if failure and failure[0] == i:
+            add_warnings(failure[2])
+            raise failure[1]
+        if i in done:
+            cells, warnings = done[i]
+            add_warnings(warnings)
+        else:  # a failed child's task
+            cells = _score_document(i, context)
+        documents.append(cells)
+    return documents
 
 
 def grid_search(gold: dict[str, list[Annotation]],
@@ -97,9 +187,10 @@ def grid_search(gold: dict[str, list[Annotation]],
     strategy order, and a repeated strategy is ranked once. Each
     document is harmonised under every strategy at once and each
     distinct output scored once; a fold's counts are the sum over its
-    documents. With jobs > 1 the documents are scored in that many
-    worker processes. A warning counts once (see `errors.warn`),
-    however many strategies, folds or workers meet it.
+    documents. With jobs > 1 the documents are scored in at most that
+    many processes (see `_score_tasks`), no more than the usable CPUs,
+    with the results of jobs=1. A warning counts once (see
+    `errors.warn`), however many strategies, folds or processes meet it.
     """
     missing = [d for d in gold if d not in predictions]
     if missing:
@@ -112,23 +203,8 @@ def grid_search(gold: dict[str, list[Annotation]],
         raise ConceptKitError("no strategies to compare")
     folds = [plan.fold_docs(f) for f in range(plan.k)]
     tasks = [(predictions[d], gold[d]) for fold in folds for d in fold]
-    context = (tasks, strategies, graph, decay)
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        # imported here: multiprocessing takes tens of milliseconds to
-        # load, which every other command would pay for nothing
-        from concurrent.futures import ProcessPoolExecutor
-        # workers get the tasks once, at start; calls carry only indexes
-        with ProcessPoolExecutor(workers, initializer=_init_worker,
-                                 initargs=context) as pool:
-            documents = []
-            for cells, warnings in pool.map(
-                    _score_in_worker, range(len(tasks)),
-                    chunksize=-(-len(tasks) // (4 * workers))):
-                documents.append(cells)
-                add_warnings(warnings)  # in task order, as jobs=1 counts them
-    else:
-        documents = [_score_document(i, context) for i in range(len(tasks))]
+    documents = _score_tasks((tasks, strategies, graph, decay),
+                             min(jobs, len(tasks), _usable_cpus()))
     counts = [cell for document in documents for cell in document]
     results = []
     for i, strategy in enumerate(strategies):

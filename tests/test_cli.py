@@ -535,11 +535,11 @@ class TestConfigFile:
                    "--config", cfg) == 1
 
 
-def test_start_up_loads_no_process_pool_or_typing():
-    """Every command pays for the modules `conceptkit.cli` imports; the
-    process pool's (multiprocessing, socket, pickle, subprocess) are
-    loaded by `tune --jobs N` with N > 1 only, and hashlib by the
-    commands that read an ontology only."""
+def test_start_up_loads_no_process_pool_or_typing(corpus):
+    """Every command pays for the modules `conceptkit.cli` imports; no
+    command loads a process pool (multiprocessing, concurrent.futures,
+    pickle), `tune --jobs 2` included, and only the commands that read an
+    ontology load hashlib."""
     env = dict(os.environ, PYTHONPATH=str(Path(conceptkit.__file__).parents[1]))
 
     def loaded(statement):
@@ -550,10 +550,18 @@ def test_start_up_loads_no_process_pool_or_typing():
         assert proc.returncode == 0, proc.stderr
         return set(proc.stdout.split())
 
-    added = loaded("import conceptkit.cli; ") - loaded("")
+    bare = loaded("")
+    added = loaded("import conceptkit.cli; ") - bare
     assert "conceptkit.tuning" in added
     assert added & {"multiprocessing", "concurrent.futures.process",
                     "typing", "hashlib"} == set()
+    assert run("convert", corpus / "gold", corpus / "conll") == 0
+    argv = ["tune", corpus / "gold", corpus / "conll", "--ontology",
+            corpus / "onto.obo", "--folds", "2", "--jobs", "2"]
+    added = loaded("from conceptkit.cli import main; "
+                   f"assert main({list(map(str, argv))!r}) == 0; ") - bare
+    assert "conceptkit.tuning" in added
+    assert added & {"multiprocessing", "concurrent.futures", "pickle"} == set()
 
 
 def test_every_traced_name_resolves(monkeypatch):

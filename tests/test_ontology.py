@@ -168,17 +168,16 @@ class TestOntologyGraph:
         with pytest.raises(ValueError, match="name other CURIEs"):
             OntologyGraph({"X:1": ()}, {"X:2": Concept("b")})
 
-    def test_pickle_holds_the_hierarchy_alone(self, small_tree):
+    def test_pickle_round_trip(self, small_tree):
         small_tree.upward_depths("TR:0020")
-        data = pickle.dumps(small_tree)
-        assert b"node" not in data and b"syn" not in data
-        graph = pickle.loads(data)
-        assert graph.concepts is graph._order is None
-        assert graph._depth_cache == {}
-        assert [(c, graph[c]) for c in graph] == [
-            (c, small_tree[c]) for c in small_tree]
-        assert ([graph.upward_depths(c) for c in graph]
-                == [small_tree.upward_depths(c) for c in small_tree])
+        hierarchy = OntologyGraph({c: small_tree[c] for c in small_tree})
+        for graph in (small_tree, hierarchy):
+            copy = pickle.loads(pickle.dumps(graph))
+            assert copy.concepts == graph.concepts
+            assert ([(c, copy[c]) for c in copy]
+                    == [(c, graph[c]) for c in graph])
+            assert ([copy.upward_depths(c) for c in copy]
+                    == [graph.upward_depths(c) for c in graph])
 
 
 _CURIES = st.sampled_from(["X:1", "X:2", "X:3", "X:4", "Y:9"])

@@ -1,12 +1,14 @@
-import concurrent.futures
 import json
+import marshal
 import multiprocessing
 import os
 import random
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,12 @@ class TestMakeFolds:
 @pytest.fixture(scope="module")
 def graph():
     return tree_graph()
+
+
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    """jobs=2 forks one child on any machine."""
+    monkeypatch.setattr(tuning, "_usable_cpus", lambda: 2)
 
 
 def mixed_corpus(n_docs):
@@ -185,7 +193,7 @@ if __name__ == "__main__":
     assert grid_search(gold, predictions, STRATEGY_ORDER, plan, graph,
                        jobs=2) == serial
     assert take_warnings() == warnings
-    # forked workers start with these warnings and send them back
+    # a forked child starts with none of these warnings to send back
     add_warnings(warnings)
     grid_search(gold, predictions, STRATEGY_ORDER, plan, graph, jobs=2)
     assert take_warnings() == warnings
@@ -287,32 +295,75 @@ class TestGridSearch:
         assert grid_search(gold, predictions, strategies, plan, graph,
                            jobs=2) == serial
 
-    def test_workers_receive_only_task_indexes(self, graph, monkeypatch):
-        """The workers get the corpus once, from their initializer, so
-        the mapped calls carry one task index per document and no rows
-        or references."""
-        sent = []
+    @pytest.mark.parametrize("cpus", ["affinity", "count"])
+    @pytest.mark.parametrize("jobs, documents, forks", [
+        (2, 10, 1), (5000, 10, 2), (5000, 2, 1), (1, 10, 0)])
+    def test_forks_one_child_per_process_but_this_one(
+            self, graph, monkeypatch, cpus, jobs, documents, forks):
+        """jobs=N scores in at most N processes, and in no more than
+        there are tasks or usable CPUs: this one and the children it
+        forks."""
+        if cpus == "affinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                                raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        forked = []
+        fork = os.fork
 
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def map(self, fn, *iterables, **kwargs):
-                iterables = [list(it) for it in iterables]
-                sent.extend(x for it in iterables for x in it)
-                return super().map(fn, *iterables, **kwargs)
+        def counting_fork():
+            forked.append(1)
+            return fork()
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            RecordingPool)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        gold, predictions = mixed_corpus(documents)
+        plan = make_folds(sorted(gold), 2, seed=1)
+        serial = grid_search(gold, predictions, STRATEGY_ORDER, plan, graph)
+        assert forked == []
+        assert grid_search(gold, predictions, STRATEGY_ORDER, plan, graph,
+                           jobs=jobs) == serial
+        assert len(forked) == forks
+
+    @pytest.mark.parametrize("fork", ["thread alive", "no os.fork",
+                                      "fork fails"])
+    def test_scores_in_one_process_where_forking_is_unsafe(
+            self, graph, monkeypatch, two_cpus, fork):
+        """A fork copies only the calling thread, Windows has no fork, and
+        a fork can fail for want of processes: then jobs=2 scores here,
+        with the serial result."""
         gold, predictions = mixed_corpus(10)
         plan = make_folds(sorted(gold), 5, seed=1)
         serial = grid_search(gold, predictions, STRATEGY_ORDER, plan, graph)
-        assert grid_search(gold, predictions, STRATEGY_ORDER, plan, graph,
-                           jobs=2) == serial
-        assert len(sent) == len(gold)
-        assert all(type(x) is int for x in sent)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(60,))
+        forked = []
+
+        def failing_fork():
+            forked.append(1)
+            raise BlockingIOError("no more processes")
+
+        if fork == "no os.fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", failing_fork)
+        if fork == "thread alive":
+            thread.start()
+        try:
+            assert grid_search(gold, predictions, STRATEGY_ORDER, plan,
+                               graph, jobs=2) == serial
+        finally:
+            stop.set()
+        if fork == "thread alive":
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert forked == ([1] if fork == "fork fails" else [])
 
     @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
     def test_parallel_under_start_method(self, tmp_path, method):
-        """Workers get the tasks and the graph whether they are forked or
-        start from a fresh import (spawn, forkserver)."""
+        """grid_search forks its children itself, so the start method
+        set in multiprocessing changes neither the table nor the
+        warnings."""
         script = tmp_path / "start_method_grid.py"
         script.write_text(START_METHOD_SCRIPT)
         paths = [Path(conceptkit.__file__).parents[1], Path(__file__).parent]
@@ -322,40 +373,110 @@ class TestGridSearch:
         assert proc.returncode == 0, proc.stderr
 
     def test_earlier_warnings_survive_a_failed_search(self, graph,
-                                                      monkeypatch):
-        """A scorer that fails on the second document leaves the warnings
-        counted before the search, and the first document's, counted."""
-        scored = []
+                                                      monkeypatch, two_cpus):
+        """A scorer that fails on one task raises as jobs=1 does, after
+        the warnings counted before the search and those of every task up
+        to the failed one, and leaves no child behind: with jobs=2, tasks
+        1 and 3 are the child's and 0 and 2 this process's."""
+        gold, predictions = mixed_corpus(4)
+        plan = make_folds(sorted(gold), 2)
+        order = [d for f in range(plan.k) for d in plan.fold_docs(f)]
+        failing = []
 
-        def fail_second(preds, refs, graph, decay):
-            scored.append(refs)
-            if len(scored) == 2:
-                raise ConceptKitError("scorer failed")
-            warn("scored %s", "first")
+        def fail_one(preds, refs, graph, decay):
+            doc_id = next(d for d in order if gold[d] is refs)
+            warn("scored %s", doc_id)
+            if doc_id in failing:
+                raise ConceptKitError(f"scorer failed on {doc_id}")
             return score_document(preds, refs, graph, decay)
 
-        monkeypatch.setattr(tuning, "score_document", fail_second)
-        gold, predictions = mixed_corpus(4)
-        take_warnings()
-        warn("earlier %s", "one")
-        with pytest.raises(ConceptKitError, match="scorer failed"):
-            grid_search(gold, predictions, STRATEGY_ORDER,
-                        make_folds(sorted(gold), 2), graph)
-        assert take_warnings() == {"earlier %s": ("earlier one",),
-                                   "scored %s": ("scored first",)}
+        monkeypatch.setattr(tuning, "score_document", fail_one)
+        for jobs, fail_at in [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]:
+            failing[:] = [order[fail_at]]
+            warn("earlier %s", "one")
+            with pytest.raises(ConceptKitError,
+                               match=f"scorer failed on {order[fail_at]}$"):
+                grid_search(gold, predictions, STRATEGY_ORDER, plan, graph,
+                            jobs=jobs)
+            assert take_warnings() == {
+                "earlier %s": ("earlier one",),
+                "scored %s": tuple(f"scored {d}"
+                                   for d in order[:fail_at + 1])}
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
 
-    def test_workers_send_back_only_their_own_warnings(self, graph,
-                                                       monkeypatch):
-        """A forked worker starts with a copy of this process's warnings
-        and sends none of them back."""
-        sent = []
-        monkeypatch.setattr(tuning, "add_warnings", sent.append)
+    def test_a_failed_child_leaves_its_tasks_to_this_process(
+            self, graph, monkeypatch, two_cpus):
+        """A child that dies scoring still yields the serial table and
+        warnings, and is reaped."""
+        gold, predictions = mixed_corpus(10)
+        plan = make_folds(sorted(gold), 5, seed=1)
+        serial = grid_search(gold, predictions, STRATEGY_ORDER, plan, graph)
+        parent = os.getpid()
+
+        def die_in_child(preds, refs, graph, decay):
+            if os.getpid() != parent:
+                os._exit(9)
+            warn("scored %s", refs[0].concept_id)
+            return score_document(preds, refs, graph, decay)
+
+        monkeypatch.setattr(tuning, "score_document", die_in_child)
+        grid_search(gold, predictions, STRATEGY_ORDER, plan, graph)
+        warnings = take_warnings()
+        assert grid_search(gold, predictions, STRATEGY_ORDER, plan, graph,
+                           jobs=2) == serial
+        assert take_warnings() == warnings
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_interrupt_leaves_no_child_behind(self, graph, monkeypatch,
+                                                 two_cpus):
+        parent = os.getpid()
+
+        def interrupted(preds, refs, graph, decay):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return score_document(preds, refs, graph, decay)
+
+        monkeypatch.setattr(tuning, "score_document", interrupted)
         gold, predictions = mixed_corpus(10)
         warn("earlier %s", "one")
-        grid_search(gold, predictions, STRATEGY_ORDER,
-                    make_folds(sorted(gold), 5, seed=1), graph, jobs=2)
-        assert len(sent) == len(gold)
-        assert not any("earlier %s" in taken for taken in sent)
+        with pytest.raises(KeyboardInterrupt):
+            grid_search(gold, predictions, STRATEGY_ORDER,
+                        make_folds(sorted(gold), 5, seed=1), graph, jobs=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert take_warnings() == {"earlier %s": ("earlier one",)}
+
+    def test_workers_send_back_only_their_own_warnings(self, graph,
+                                                       monkeypatch, two_cpus):
+        """A forked child starts with a copy of this process's counter;
+        it sends back the warnings of its own tasks and none of those
+        counted before the search."""
+        gold, predictions = mixed_corpus(10)
+        plan = make_folds(sorted(gold), 5, seed=1)
+        order = [d for f in range(plan.k) for d in plan.fold_docs(f)]
+
+        def warn_document(preds, refs, graph, decay):
+            warn("scored %s", next(d for d in order if gold[d] is refs))
+            return score_document(preds, refs, graph, decay)
+
+        sent = []
+
+        def recording_loads(data):
+            sent.extend(marshal.loads(data))
+            return marshal.loads(data)
+
+        monkeypatch.setattr(tuning, "score_document", warn_document)
+        monkeypatch.setattr(tuning, "marshal", SimpleNamespace(
+            dump=marshal.dump, loads=recording_loads))
+        warn("earlier %s", "one")
+        grid_search(gold, predictions, STRATEGY_ORDER, plan, graph, jobs=2)
+        assert [warnings for _, warnings in sent] == [
+            {"scored %s": (f"scored {d}",)} for d in order[1::2]]
+        assert take_warnings() == {
+            "earlier %s": ("earlier one",),
+            "scored %s": tuple(f"scored {d}" for d in order)}
 
     def test_select_requires_rows(self):
         with pytest.raises(ValueError):
