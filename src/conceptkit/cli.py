@@ -337,8 +337,8 @@ def _apply_config(argv: list[str]) -> list[str]:
             path = token.split("=", 1)[1]
     if path is None:
         return argv
-    if not Path(path).exists():
-        raise ConceptKitError(f"missing config file: {path}")
+    if not Path(path).is_file():
+        raise ConceptKitError(f"--config {path!r} names no file")
     return argv[:1] + _config_tokens(path) + argv[1:]
 
 

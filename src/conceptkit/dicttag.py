@@ -19,6 +19,10 @@ from .ontology import OntologyGraph
 
 # A run of letters and digits: one token of a normalised term.
 _TOKEN_RE = re.compile(r"[^\W_]+")
+# The same rule for ASCII: a letter lower-cased, a digit kept, and any
+# other character a space, so the tokens are what str.split() returns.
+_ASCII_TOKENS = str.maketrans({chr(c): chr(c).lower() if chr(c).isalnum()
+                               else " " for c in range(128)})
 
 # Closed-class surface forms suppressed as single-token matches. The
 # list is a configuration knob, not linguistics: highly ambiguous short
@@ -50,13 +54,21 @@ def normalize_term(term: str) -> list[str]:
     Compatibility-normalise, lower-case, spell out Greek letters,
     split into runs of letters and digits (so punctuation, underscores
     and whitespace separate tokens), and strip a trailing plural "s"
-    from tokens of length >= 4.
+    from tokens of length >= 4. An ASCII term skips NFKC, which leaves
+    it unchanged, and the Greek step: one character table lower-cases it
+    and turns every character other than a letter or digit into a space.
     """
-    s = unicodedata.normalize("NFKC", term).lower()
-    if not s.isascii() and max(s) > "\u036f":
-        s = "".join(_spell_greek(c) or c for c in s)
-    return [t[:-1] if t[-1] == "s" and len(t) >= 4 else t
-            for t in _TOKEN_RE.findall(s)]
+    if term.isascii():
+        s = term.translate(_ASCII_TOKENS)
+        tokens = s.split()
+        if "s " not in s and s[-1:] != "s":  # no token ends with "s"
+            return tokens
+    else:
+        s = unicodedata.normalize("NFKC", term).lower()
+        if not s.isascii() and max(s) > "\u036f":
+            s = "".join(_spell_greek(c) or c for c in s)
+        tokens = _TOKEN_RE.findall(s)
+    return [t[:-1] if t[-1] == "s" and len(t) >= 4 else t for t in tokens]
 
 
 class TermIndex(namedtuple("TermIndex", "entries max_len")):

@@ -40,8 +40,6 @@ def _find_unescaped(value: str, stop: str, start: int = 0) -> int:
 
 
 def _unescape(value: str) -> str:
-    if "\\" not in value:
-        return value
     return _ESCAPE_RE.sub(lambda m: _ESCAPED.get(m[1], m[1]), value)
 
 
@@ -151,12 +149,15 @@ def parse_obo(text: str, source: str = "") -> OntologyGraph:
     warning. Lines end as `formats.split_lines` ends them, which also
     drops a leading byte order mark. A comment starts at the first "!"
     that no backslash escapes; names and synonyms decode the OBO 1.4
-    escapes. Each CURIE is one string object, shared by its keys and every
-    is_a edge that names it.
+    escapes. Text without a backslash holds no escape: a synonym without
+    one finds its closing quote with plain string search, and only text
+    with one is decoded. Each CURIE is one string object, shared by its
+    keys and every is_a edge that names it.
     """
     hierarchy: dict[str, tuple[str, ...]] = {}
     concepts: dict[str, Concept] = {}
-    intern = {}.setdefault
+    interned: dict[str, str] = {}
+    intern = interned.setdefault
     in_term = False
     curie = None
     stanza_line = 0
@@ -164,29 +165,45 @@ def parse_obo(text: str, source: str = "") -> OntologyGraph:
         # the sentinel header closes the last stanza
         for lineno, raw in enumerate(chain(split_lines(text), ("[",)), start=1):
             line = raw.strip()
-            if line.startswith("["):
+            if not line:
+                continue
+            if line[0] == "[":
                 if curie is not None:
                     if curie in concepts:
                         warn("%s:line %d: repeated id %s replaces the "
                              "earlier stanza", source or "obo",
                              stanza_line, curie)
-                    hierarchy[curie] = tuple(dict.fromkeys(parents))
-                    concepts[curie] = Concept(name, tuple(synonyms), obsolete)
+                    hierarchy[curie] = (tuple(dict.fromkeys(parents))
+                                        if len(parents) > 1 else tuple(parents))
+                    concepts[curie] = tuple.__new__(
+                        Concept, (name, tuple(synonyms), obsolete))
                 in_term = line == "[Term]"
                 curie, name, synonyms, parents, obsolete = None, "", [], [], False
                 stanza_line = lineno
                 continue
-            if not in_term or not line or line.startswith("!"):
+            if not in_term:
                 continue
+            # a comment line's key starts with "!", so it names no key below
             key, _, raw_value = line.partition(":")
-            if key == "synonym":
+            if key == "is_a":
+                # the target is the first word: only a "!" in it cuts it
+                words = raw_value.split(None, 1)
+                target = words[0] if words else ""
+                if "!" in target:
+                    target = target[:_find_unescaped(target, "!")]
+                if not target:
+                    raise ValueError("empty is_a target")
+                parents.append(intern(target, target))
+            elif key == "synonym":
                 # find the quotes before cutting a comment: they may hold "!"
-                opening = raw_value.find('"')
-                closing = _find_unescaped(raw_value, '"', opening + 1)
-                if closing == len(raw_value):
+                opening = raw_value.find('"') + 1
+                closing = (_find_unescaped(raw_value, '"', opening)
+                           if "\\" in raw_value else raw_value.find('"', opening))
+                if not 0 <= closing < len(raw_value):
                     raise ValueError(f"unparseable synonym {raw_value.strip()!r}")
-                synonyms.append(_unescape(raw_value[opening + 1:closing]))
-            elif key in ("id", "name", "is_a", "is_obsolete"):
+                synonym = raw_value[opening:closing]
+                synonyms.append(_unescape(synonym) if "\\" in synonym else synonym)
+            elif key in ("id", "name", "is_obsolete"):
                 if "!" in raw_value:  # most values hold none: skip the scan
                     raw_value = raw_value[:_find_unescaped(raw_value, "!")]
                 value = raw_value.strip()
@@ -195,23 +212,22 @@ def parse_obo(text: str, source: str = "") -> OntologyGraph:
                         raise ValueError("empty id")
                     curie = intern(value, value)
                 elif key == "name":
-                    name = _unescape(value)
-                elif key == "is_a":
-                    if not value:
-                        raise ValueError("empty is_a target")
-                    target = value.split(None, 1)[0]
-                    parents.append(intern(target, target))
+                    name = _unescape(value) if "\\" in value else value
                 else:
                     obsolete = value.lower() == "true"
     except ValueError as exc:
         raise ParseError(str(exc), line=lineno, source=source) from None
 
-    for curie, curie_parents in hierarchy.items():
-        dropped = [p for p in curie_parents if p not in hierarchy]
-        if dropped:
-            warn("%s: dropping dangling is_a %s -> %s",
-                 source or "obo", curie, ", ".join(dropped))
-            hierarchy[curie] = tuple(p for p in curie_parents if p in hierarchy)
+    # Every key of `hierarchy` is interned, and so is every is_a target:
+    # unless some interned CURIE names no stanza, no target dangles.
+    if len(interned) > len(hierarchy):
+        for curie, curie_parents in hierarchy.items():
+            dropped = [p for p in curie_parents if p not in hierarchy]
+            if dropped:
+                warn("%s: dropping dangling is_a %s -> %s",
+                     source or "obo", curie, ", ".join(dropped))
+                hierarchy[curie] = tuple(p for p in curie_parents
+                                         if p in hierarchy)
     try:
         order = _topological_order(hierarchy)
     except ParseError as exc:

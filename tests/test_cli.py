@@ -517,10 +517,15 @@ class TestConfigFile:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[1].split("\t")[1] == "first-span/keep-longer"
 
-    def test_missing_config(self, corpus, capsys):
-        assert run("convert", corpus / "gold", corpus / "out",
-                   "--config", corpus / "nope.cfg") == 1
-        assert "config" in capsys.readouterr().err
+    def test_missing_config(self, corpus, capsys, monkeypatch):
+        """A missing file, an empty path and a directory each fail with
+        one error that names --config and the value given."""
+        monkeypatch.chdir(corpus)
+        for given in ("nope.cfg", "", ".", "gold"):
+            for argv in (["--config", given], [f"--config={given}"]):
+                assert run("convert", "gold", "out", *argv) == 1
+                assert capsys.readouterr().err == (
+                    f"conceptkit: error: --config {given!r} names no file\n")
 
     def test_config_lines_end_only_at_newline_or_carriage_return(
             self, tmp_path):

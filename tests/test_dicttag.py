@@ -273,7 +273,8 @@ def test_index_matches_set_collecting_reference(graph, extra):
     assert got == want
 
 
-@given(st.one_of(st.text(), _TERM))
+@given(st.one_of(st.text(), _TERM,
+                 st.text(st.characters(max_codepoint=127))))
 def test_normalize_term_matches_per_character_greek_test(term):
     assert normalize_term(term) == reference_normalize_term(term)
 

@@ -193,7 +193,9 @@ _OBO_LINE = st.one_of(
                      'def: "text ! here" []', "is_a:", "synonym: unquoted",
                      "[Typedef]", "namespace: n", "subset: s", "id : X:4",
                      "is_anonymous: true", 'synonyms: "x" []', "name : y",
-                     "id:", "id: ! note"]),
+                     "id:", "id: ! note", 'synonym: "unclosed',
+                     'synonym: "a" EXACT "b" []', "is_a: X:1\\!x ! c",
+                     "is_a: !X:1"]),
     st.builds("id: {}{}".format, _CURIES, _COMMENT),
     st.builds("name: {}{}".format, _VALUE, _COMMENT),
     st.builds('synonym: "{}" EXACT []{}'.format, _QUOTED, _COMMENT),
