@@ -9,6 +9,7 @@ explicit command-line flags win over config values.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -50,6 +51,11 @@ def _note(args, message: str) -> None:
         print(f"conceptkit: {message}", file=sys.stderr)
 
 
+def _set_name(args, directory: str) -> str:
+    """--set-name, else the name of the directory's absolute path."""
+    return args.set_name or os.path.basename(os.path.abspath(directory))
+
+
 def _original_text(args, doc_id: str) -> str | None:
     """The document's text from --text-dir, or None without that flag."""
     if not args.text_dir:
@@ -84,7 +90,7 @@ def cmd_restore(args) -> int:
 def cmd_roundtrip_eval(args) -> int:
     docs = read_standoff_dir(args.input)
     graph = snapshot.load_graph(args.ontology)
-    set_name = args.set_name or Path(args.input).name
+    set_name = _set_name(args, args.input)
     if args.grid:
         combos = [(u, n) for u in UnifyStrategy for n in UnnestStrategy]
     else:
@@ -143,7 +149,7 @@ def cmd_evaluate(args) -> int:
                     if args.unseen_only else None)
     total = evaluate.score_corpus(gold, preds, graph, args.wang_decay,
                                   train_labels)
-    set_name = args.set_name or Path(args.gold).name
+    set_name = _set_name(args, args.gold)
     strategy = "unseen-only" if args.unseen_only else "all"
     print(REPORT_HEADER)
     print(_report_row(set_name, strategy, total, args.ser_denominator))
@@ -160,7 +166,7 @@ def cmd_tune(args) -> int:
     table = tuning.grid_search(gold, predictions, strategies, plan, graph,
                                decay=args.wang_decay, jobs=args.jobs)
 
-    set_name = args.set_name or Path(args.gold).name
+    set_name = _set_name(args, args.gold)
     print("set\tstrategy\tmean_F\tmean_SER")
     for result in table:
         print(f"{set_name}\t{result.strategy.value}"
@@ -216,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE",
                         help="key=value file presetting any flag of this command")
-    common.add_argument("-v", "--verbose", action="count", default=0,
+    common.add_argument("-v", "--verbose", action="store_true",
                         help="print progress notes on stderr")
     ontology = argparse.ArgumentParser(add_help=False)
     ontology.add_argument("--ontology", required=True, metavar="FILE")

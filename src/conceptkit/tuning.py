@@ -16,7 +16,6 @@ import os
 import random
 import sys
 from collections import Counter, namedtuple
-from itertools import islice
 
 from .codec import block_concept, block_tags, iter_blocks
 from .dicttag import longest_leftmost, normalize_term
@@ -114,63 +113,57 @@ def _score_tasks(context, workers: int) -> list[list[EvalCounts]]:
     child k those with i % workers == k.
 
     The counts, the warnings and any exception are those of scoring every
-    task here in order. A child that fails leaves its tasks to this
-    process, which scores them at their place in task order; this
-    process holds an exception of its own share until then. Every child
-    is reaped before this returns or raises.
+    task here in order: a task this process holds no result for (a
+    failed child's, an unforked share's, or one this process's own share
+    failed on) is scored here at its place in task order. Every child is
+    reaped before this returns or raises.
     """
     n = len(context[0])
-    if workers < 2 or not _can_fork():
-        return [_score_document(i, context) for i in range(n)]
-    import signal  # here: its enums would cost every command about 1.5 ms
-    earlier = take_warnings()  # counted before: no child's to send back
-    children = {}  # pid -> read end of its pipe, until reaped
-    done = {}  # task -> (counts, warnings)
-    failure = None  # (task, exception, warnings) of this process's share
-    try:
-        for _ in range(1, workers):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no more processes: this one scores the rest
-                os.close(read)
-                os.close(write)
-                break
-            if pid == 0:
-                _score_share(len(children) + 1, workers, context, write)
-            os.close(write)  # while any copy is open, its read sees no EOF
-            children[pid] = open(read, "rb")
-        for i in range(0, n, workers):
-            try:
-                cells = _score_document(i, context)
-            except Exception as error:
-                failure = i, error, take_warnings()
-                break
-            done[i] = cells, take_warnings()
-        for share, (pid, pipe) in enumerate(list(children.items()), 1):
-            record = pipe.read()
-            pipe.close()
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
-            if status == 0:
-                for i, (cells, warnings) in zip(range(share, n, workers),
-                                                marshal.loads(record)):
-                    done[i] = [EvalCounts._make(c) for c in cells], warnings
-    finally:
-        for pid, pipe in children.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
-        add_warnings(earlier)
+    done = {}  # task -> (counts, warnings) of a share
+    if workers > 1 and _can_fork():
+        import signal  # here: its enums would cost every command about 1.5 ms
+        earlier = take_warnings()  # counted before: no child's to send back
+        children = {}  # pid -> read end of its pipe, until reaped
+        try:
+            for _ in range(1, workers):
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:  # no more processes: this one scores the rest
+                    os.close(read)
+                    os.close(write)
+                    break
+                if pid == 0:
+                    _score_share(len(children) + 1, workers, context, write)
+                os.close(write)  # while any copy is open, its read sees no EOF
+                children[pid] = open(read, "rb")
+            for i in range(0, n, workers):
+                try:
+                    done[i] = _score_document(i, context), take_warnings()
+                except Exception:
+                    take_warnings()  # partial: the task is scored again below
+                    break
+            for share, (pid, pipe) in enumerate(list(children.items()), 1):
+                record = pipe.read()
+                pipe.close()
+                status = os.waitpid(pid, 0)[1]
+                del children[pid]
+                if status == 0:
+                    for i, (cells, warnings) in zip(range(share, n, workers),
+                                                    marshal.loads(record)):
+                        done[i] = [EvalCounts._make(c) for c in cells], warnings
+        finally:
+            for pid, pipe in children.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pipe.close()
+            add_warnings(earlier)
     documents = []
     for i in range(n):
-        if failure and failure[0] == i:
-            add_warnings(failure[2])
-            raise failure[1]
         if i in done:
             cells, warnings = done[i]
             add_warnings(warnings)
-        else:  # a failed child's task
+        else:
             cells = _score_document(i, context)
         documents.append(cells)
     return documents
@@ -203,14 +196,13 @@ def grid_search(gold: dict[str, list[Annotation]],
         raise ConceptKitError("no strategies to compare")
     folds = [plan.fold_docs(f) for f in range(plan.k)]
     tasks = [(predictions[d], gold[d]) for fold in folds for d in fold]
-    documents = _score_tasks((tasks, strategies, graph, decay),
-                             min(jobs, len(tasks), _usable_cpus()))
-    counts = [cell for document in documents for cell in document]
+    documents = iter(_score_tasks((tasks, strategies, graph, decay),
+                                  min(jobs, len(tasks), _usable_cpus())))
+    by_fold = [[next(documents) for _ in fold] for fold in folds]
     results = []
     for i, strategy in enumerate(strategies):
-        doc_counts = iter(counts[i::len(strategies)])
-        fold_counts = tuple(sum(islice(doc_counts, len(fold)), EvalCounts())
-                            for fold in folds)
+        fold_counts = tuple(sum((cells[i] for cells in fold), EvalCounts())
+                            for fold in by_fold)
         fs = [fscore(c)[2] for c in fold_counts]
         sers = [slot_error_rate(c) for c in fold_counts]
         results.append(StrategyResult(

@@ -326,6 +326,15 @@ class TestHarmoniseEvaluate:
         # every concept was "seen": both sides empty
         assert cells[2:6] == ["0.0000", "0.0000", "0", "0"]
 
+    @pytest.mark.parametrize("cwd, gold", [("gold", "."), ("gold/sub", "..")])
+    def test_a_relative_directory_names_the_set(self, corpus, capsys,
+                                                monkeypatch, cwd, gold):
+        (corpus / cwd).mkdir(exist_ok=True)
+        monkeypatch.chdir(corpus / cwd)
+        assert run("evaluate", gold, gold,
+                   "--ontology", corpus / "onto.obo") == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("gold\tall\t")
+
     def test_missing_prediction_dir_fails(self, corpus, capsys):
         missing = corpus / "no-such-pred"
         assert run("evaluate", corpus / "gold", missing,

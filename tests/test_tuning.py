@@ -374,10 +374,11 @@ class TestGridSearch:
 
     def test_earlier_warnings_survive_a_failed_search(self, graph,
                                                       monkeypatch, two_cpus):
-        """A scorer that fails on one task raises as jobs=1 does, after
-        the warnings counted before the search and those of every task up
-        to the failed one, and leaves no child behind: with jobs=2, tasks
-        1 and 3 are the child's and 0 and 2 this process's."""
+        """A scorer that fails on some tasks raises the first one's error
+        as jobs=1 does, after the warnings counted before the search and
+        those of every task up to that one, and leaves no child behind:
+        with jobs=2, tasks 1 and 3 are the child's and 0 and 2 this
+        process's."""
         gold, predictions = mixed_corpus(4)
         plan = make_folds(sorted(gold), 2)
         order = [d for f in range(plan.k) for d in plan.fold_docs(f)]
@@ -391,17 +392,18 @@ class TestGridSearch:
             return score_document(preds, refs, graph, decay)
 
         monkeypatch.setattr(tuning, "score_document", fail_one)
-        for jobs, fail_at in [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]:
-            failing[:] = [order[fail_at]]
+        for jobs, fail_at in [(1, [1]), (1, [2]), (2, [1]), (2, [2]),
+                              (2, [3]), (2, [1, 2])]:
+            failing[:] = [order[i] for i in fail_at]
             warn("earlier %s", "one")
             with pytest.raises(ConceptKitError,
-                               match=f"scorer failed on {order[fail_at]}$"):
+                               match=f"scorer failed on {failing[0]}$"):
                 grid_search(gold, predictions, STRATEGY_ORDER, plan, graph,
                             jobs=jobs)
             assert take_warnings() == {
                 "earlier %s": ("earlier one",),
                 "scored %s": tuple(f"scored {d}"
-                                   for d in order[:fail_at + 1])}
+                                   for d in order[:fail_at[0] + 1])}
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
 
@@ -426,6 +428,40 @@ class TestGridSearch:
         assert grid_search(gold, predictions, STRATEGY_ORDER, plan, graph,
                            jobs=2) == serial
         assert take_warnings() == warnings
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_failure_here_is_scored_again_in_task_order(
+            self, graph, monkeypatch, two_cpus):
+        """A task that this process's own share fails on is scored again
+        at its place in task order, as a failed child's task is: a failure
+        that does not repeat leaves the serial table and warnings, and
+        the failed attempt's warnings are dropped."""
+        gold, predictions = mixed_corpus(10)
+        plan = make_folds(sorted(gold), 5, seed=1)
+        order = [d for f in range(plan.k) for d in plan.fold_docs(f)]
+        parent = os.getpid()
+        failed = []
+
+        def warn_document(preds, refs, graph, decay):
+            warn("scored %s", next(d for d in order if gold[d] is refs))
+            return score_document(preds, refs, graph, decay)
+
+        def fail_once(preds, refs, graph, decay):
+            if os.getpid() == parent and refs is gold[order[2]] and not failed:
+                failed.append(order[2])
+                warn("partial %s", order[2])
+                raise ConceptKitError(f"scorer failed on {order[2]}")
+            return warn_document(preds, refs, graph, decay)
+
+        monkeypatch.setattr(tuning, "score_document", warn_document)
+        serial = grid_search(gold, predictions, STRATEGY_ORDER, plan, graph)
+        warnings = take_warnings()
+        monkeypatch.setattr(tuning, "score_document", fail_once)
+        assert grid_search(gold, predictions, STRATEGY_ORDER, plan, graph,
+                           jobs=2) == serial
+        assert take_warnings() == warnings
+        assert failed == [order[2]]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
