@@ -409,34 +409,11 @@ class TestGridSearch:
 
     def test_a_failed_child_leaves_its_tasks_to_this_process(
             self, graph, monkeypatch, two_cpus):
-        """A child that dies scoring still yields the serial table and
-        warnings, and is reaped."""
-        gold, predictions = mixed_corpus(10)
-        plan = make_folds(sorted(gold), 5, seed=1)
-        serial = grid_search(gold, predictions, STRATEGY_ORDER, plan, graph)
-        parent = os.getpid()
-
-        def die_in_child(preds, refs, graph, decay):
-            if os.getpid() != parent:
-                os._exit(9)
-            warn("scored %s", refs[0].concept_id)
-            return score_document(preds, refs, graph, decay)
-
-        monkeypatch.setattr(tuning, "score_document", die_in_child)
-        grid_search(gold, predictions, STRATEGY_ORDER, plan, graph)
-        warnings = take_warnings()
-        assert grid_search(gold, predictions, STRATEGY_ORDER, plan, graph,
-                           jobs=2) == serial
-        assert take_warnings() == warnings
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_a_failure_here_is_scored_again_in_task_order(
-            self, graph, monkeypatch, two_cpus):
-        """A task that this process's own share fails on is scored again
-        at its place in task order, as a failed child's task is: a failure
-        that does not repeat leaves the serial table and warnings, and
-        the failed attempt's warnings are dropped."""
+        """A task that this process holds no result for is scored here at
+        its place in task order, whether a child died scoring it or this
+        process's own share failed on it once (task 2, after a partial
+        warning): the serial table and warnings come back, the failed
+        attempt's warnings are dropped, and no child is left."""
         gold, predictions = mixed_corpus(10)
         plan = make_folds(sorted(gold), 5, seed=1)
         order = [d for f in range(plan.k) for d in plan.fold_docs(f)]
@@ -447,7 +424,12 @@ class TestGridSearch:
             warn("scored %s", next(d for d in order if gold[d] is refs))
             return score_document(preds, refs, graph, decay)
 
-        def fail_once(preds, refs, graph, decay):
+        def die_in_child(preds, refs, graph, decay):
+            if os.getpid() != parent:
+                os._exit(9)
+            return warn_document(preds, refs, graph, decay)
+
+        def fail_once_here(preds, refs, graph, decay):
             if os.getpid() == parent and refs is gold[order[2]] and not failed:
                 failed.append(order[2])
                 warn("partial %s", order[2])
@@ -457,13 +439,14 @@ class TestGridSearch:
         monkeypatch.setattr(tuning, "score_document", warn_document)
         serial = grid_search(gold, predictions, STRATEGY_ORDER, plan, graph)
         warnings = take_warnings()
-        monkeypatch.setattr(tuning, "score_document", fail_once)
-        assert grid_search(gold, predictions, STRATEGY_ORDER, plan, graph,
-                           jobs=2) == serial
-        assert take_warnings() == warnings
+        for scorer in (die_in_child, fail_once_here):
+            monkeypatch.setattr(tuning, "score_document", scorer)
+            assert grid_search(gold, predictions, STRATEGY_ORDER, plan, graph,
+                               jobs=2) == serial
+            assert take_warnings() == warnings
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
         assert failed == [order[2]]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     def test_an_interrupt_leaves_no_child_behind(self, graph, monkeypatch,
                                                  two_cpus):
