@@ -50,18 +50,31 @@ Concept = namedtuple("Concept", "name synonyms obsolete", defaults=((), False))
 class OntologyGraph:
     """Immutable acyclic is_a hierarchy: a mapping from each CURIE to the
     tuple of its parents' CURIEs. `concepts` maps the same CURIEs to their
-    Concepts on a graph from `parse_obo`, else is None; do not modify it."""
+    Concepts on a graph from `parse_obo`, else is None."""
 
     def __init__(self, parents: dict[str, tuple[str, ...]],
-                 concepts: dict[str, Concept] | None = None):
-        """Raise ValueError on an unknown parent or on `concepts` naming
-        other CURIEs, ParseError on a cycle."""
-        parents = dict(parents)
-        order = _topological_order(parents)
-        if concepts is not None:
-            concepts = dict(concepts)
-            if concepts.keys() != parents.keys():
-                raise ValueError("concepts and parents name other CURIEs")
+                 concepts: dict[str, Concept] | None = None,
+                 order: list[str] | None = None):
+        """Check `parents` with Kahn's algorithm or, given `order`, in one
+        pass: `order` must name each CURIE once and before its parents.
+        Keep the arguments, not copies: do not modify them. Raise ValueError
+        on an unknown parent, on any other `order` or on `concepts` naming
+        other CURIEs, ParseError on a cycle that Kahn's algorithm finds."""
+        if order is None:
+            order = _topological_order(parents)
+        else:
+            done = set()
+            try:
+                for curie in reversed(order):
+                    if not done.issuperset(parents[curie]):
+                        raise ValueError(f"order: {curie} is not before its parents")
+                    done.add(curie)
+            except KeyError:
+                raise ValueError(f"order: {curie} is unknown") from None
+            if not len(done) == len(order) == len(parents):
+                raise ValueError("order does not name each CURIE once")
+        if concepts is not None and concepts.keys() != parents.keys():
+            raise ValueError("concepts and parents name other CURIEs")
         self._parents, self.concepts, self._order = parents, concepts, order
         self._depth_cache = {}
 
@@ -104,16 +117,6 @@ class OntologyGraph:
         Raises KeyError for unknown CURIEs.
         """
         return frozenset(self.upward_depths(curie))
-
-
-def _hierarchy(parents: dict, concepts: dict | None = None,
-               order: list | None = None) -> OntologyGraph:
-    """The graph of a checked hierarchy, over these dicts themselves; a
-    snapshot write stores the `order` that the check found."""
-    graph = OntologyGraph.__new__(OntologyGraph)
-    graph._parents, graph.concepts, graph._order = parents, concepts, order
-    graph._depth_cache = {}
-    return graph
 
 
 def _topological_order(parents: dict[str, tuple[str, ...]]) -> list[str]:
@@ -229,10 +232,9 @@ def parse_obo(text: str, source: str = "") -> OntologyGraph:
                 hierarchy[curie] = tuple(p for p in curie_parents
                                          if p in hierarchy)
     try:
-        order = _topological_order(hierarchy)
+        return OntologyGraph(hierarchy, concepts)
     except ParseError as exc:
         raise ParseError(str(exc), source=source) from None
-    return _hierarchy(hierarchy, concepts, order)
 
 
 def wang_similarity(graph: OntologyGraph, a: str, b: str,

@@ -9,12 +9,13 @@ A snapshot is a `marshal` file, the format of Python's own `__pycache__`:
 loading one builds strings, tuples, lists, dicts and booleans and runs
 no code. A graph snapshot holds columns: first the hierarchy (CURIEs,
 parents and a topological order), which is all that `load_graph` reads
-and checks, then one per term field, which an index miss reads too. An
-index snapshot holds the index's dict. Within one marshal record an
-object that several entries share is written once, so the load keeps
-the sharing of CURIEs and index tokens that the parse built; unshared
-columns are records of their own, so that writing one never holds a
-table of every object in the graph.
+and which `OntologyGraph` checks against that order in one pass, then
+one per term field, which an index miss reads too. An index snapshot
+holds the index's dict. Within one marshal record an object that
+several entries share is written once, so the load keeps the sharing of
+CURIEs and index tokens that the parse built; unshared columns are
+records of their own, so that writing one never holds a table of every
+object in the graph.
 
 Its key is the SHA-256 of `FORMAT`, the code that builds it (the source
 of every conceptkit module, the Python version and its Unicode
@@ -41,7 +42,7 @@ from pathlib import Path
 from .dicttag import TermIndex, build_index
 from .errors import ConceptKitError, add_warnings, take_warnings
 from .formats import decode_text, read_bytes
-from .ontology import Concept, OntologyGraph, _hierarchy, parse_obo
+from .ontology import Concept, OntologyGraph, parse_obo
 
 #: Part of every key; a change to the layout of a snapshot changes it.
 FORMAT = f"conceptkit snapshot 4, marshal {marshal.version}"
@@ -86,7 +87,8 @@ def _load(path: str, extra):
             if keys:
                 _attempt(_write, "graph", keys[0], _columns(graph))
         if extra is None:
-            return _hierarchy(graph._parents)
+            graph.concepts = None
+            return graph
         data = None
         index = build_index(graph, extra)
         graph = None
@@ -175,9 +177,12 @@ def _read(part: str, key: str, terms: bool = False):
         raise ValueError("not the expected snapshot")
     if part == "graph":
         curies, parents, order, *fields = columns
+        hierarchy = dict(zip(curies, parents))
+        if len(hierarchy) != len(curies) or not set(map(type, parents)) <= {tuple}:
+            raise ValueError("not the expected snapshot")
         concepts = (dict(zip(curies, map(Concept._make, zip(*fields))))
                     if terms else None)
-        result = _hierarchy(_checked(curies, parents, order), concepts)
+        result = OntologyGraph(hierarchy, concepts, order)
     else:
         (entries,) = columns
         if type(entries) is not dict:
@@ -185,21 +190,6 @@ def _read(part: str, key: str, terms: bool = False):
         result = TermIndex(entries)
     add_warnings(warnings)
     return result
-
-
-def _checked(curies: list, parents: list, order: list) -> dict:
-    """The CURIE -> parents dict of a graph snapshot, checked in one pass
-    instead of Kahn's: read from its end, `order` must name each CURIE
-    once and after its parents, so that none is unknown or in a cycle."""
-    hierarchy = dict(zip(curies, parents))
-    done = set()  # a subset of the CURIEs: equal once it is as long
-    for curie in reversed(order):
-        if not done.issuperset(hierarchy[curie]):
-            raise ValueError("not a topological order")
-        done.add(curie)
-    if len(done) != len(curies) or not set(map(type, parents)) <= {tuple}:
-        raise ValueError("not the expected snapshot")
-    return hierarchy
 
 
 def _write(part: str, key: str, blocks: list) -> None:

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import conceptkit
-from conceptkit.cli import _config_tokens, _read_train_labels, main
+from conceptkit.cli import _config_tokens, _read_train_labels, build_parser, main
 from conceptkit.formats import tokenize
 
 from helpers import tree_obo
@@ -596,3 +597,18 @@ def test_every_traced_name_resolves(monkeypatch):
         owner = getattr(module, owner_name) if owner_name else module
         assert callable(getattr(owner, attr, None)), f"{module_name}.{path}"
         assert not owner_name or attr in vars(owner), f"{module_name}.{path}"
+
+
+def test_readme_names_every_subcommand_and_flag():
+    """README.md keeps up with the parser: it names each subcommand and
+    each long option string as a whole word."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    options = {option for parser in commands.choices.values()
+               for action in parser._actions for option in action.option_strings
+               if option.startswith("--") and option != "--help"}
+    assert [name for name in [*commands.choices, *sorted(options)]
+            if not re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", readme)
+            ] == []

@@ -223,6 +223,8 @@ class TestConll:
         assert sentences[0][1].dict_features == ("PR:000001", "PR:000002")
         assert sentences[1][0].id_tag == NIL
         assert sentences[1][0].dict_features == ()
+        # the last sentence ends at the end of the text, too
+        assert parse_conll(SAMPLE_CONLL.removesuffix("\n")) == sentences
 
     def test_roundtrip(self):
         assert write_conll(parse_conll(SAMPLE_CONLL)) == SAMPLE_CONLL

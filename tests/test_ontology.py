@@ -160,13 +160,37 @@ class TestParseObo:
 
 
 class TestOntologyGraph:
-    def test_checks_its_hierarchy(self):
+    def test_checks_its_hierarchy(self, small_tree):
         with pytest.raises(ValueError, match="X:1: unknown parent X:9"):
             OntologyGraph({"X:1": ("X:9",)})
         with pytest.raises(ParseError, match="is_a cycle involving X:1, X:2"):
             OntologyGraph({"X:1": ("X:2",), "X:2": ("X:1",), "X:3": ()})
         with pytest.raises(ValueError, match="name other CURIEs"):
             OntologyGraph({"X:1": ()}, {"X:2": Concept("b")})
+        # a given order must name each CURIE once, before its parents
+        parents = {"X:1": (), "X:2": ("X:1",), "X:3": ()}
+        for order, error in [
+                (["X:2", "X:1", "X:3", "X:4"], "X:4 is unknown"),
+                (["X:1", "X:2", "X:3"], "X:2 is not before its parents"),
+                (["X:2", "X:1"], "each CURIE once"),
+                (["X:2", "X:1", "X:3", "X:3"], "each CURIE once")]:
+            with pytest.raises(ValueError, match=error):
+                OntologyGraph(parents, order=order)
+        with pytest.raises(ValueError, match="X:2 is not before its parents"):
+            OntologyGraph({"X:1": ("X:2",), "X:2": ("X:1",)},
+                          order=["X:1", "X:2"])
+        with pytest.raises(ValueError, match="name other CURIEs"):
+            OntologyGraph(parents, {"X:1": Concept("a")}, ["X:2", "X:1", "X:3"])
+        # deepest first: another order than Kahn's, and the same graph
+        parents = {c: small_tree[c] for c in small_tree}
+        order = sorted(reversed(parents),
+                       key=lambda c: -len(small_tree.ancestors(c)))
+        given = OntologyGraph(parents, small_tree.concepts, order)
+        found = OntologyGraph(parents, small_tree.concepts)
+        assert given._order != found._order
+        assert given.concepts is found.concepts is small_tree.concepts
+        assert ([(c, given[c], given.upward_depths(c)) for c in given]
+                == [(c, found[c], found.upward_depths(c)) for c in found])
 
     def test_pickle_round_trip(self, small_tree):
         small_tree.upward_depths("TR:0020")

@@ -39,6 +39,28 @@ def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def private_imports(source: str) -> list[str]:
+    """The `_`-prefixed names a module imports from another module, in
+    source order."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_private_imports_are_found():
+    source = ("from __future__ import annotations\nimport _thread\n"
+              "from .ontology import Concept, _hierarchy\n"
+              "def f():\n    from x import _y as y\n")
+    assert private_imports(source) == ["_hierarchy", "_y"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_no_private_name(path):
+    """A private name is read only in the module that defines it."""
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
 def scopes_of(source: str, match) -> list[str]:
     """The dotted name of the function around each node that `match`
     accepts, in source order; "" stands for module level."""

@@ -264,6 +264,10 @@ class TestGridSearch:
         plan = make_folds(sorted(gold), 6, seed=0)
         with pytest.raises(ConceptKitError, match="doc03"):
             grid_search(gold, predictions, STRATEGY_ORDER, plan, graph)
+        del gold["doc03"]
+        with pytest.raises(ConceptKitError,
+                           match="fold plan names unknown document doc03"):
+            grid_search(gold, predictions, STRATEGY_ORDER, plan, graph)
 
     def test_parallel_jobs_match_serial(self, graph):
         gold, predictions = id_favouring_corpus()
@@ -577,6 +581,11 @@ class TestLexiconTagger:
             LexiconTagger.from_json(text)
 
     def test_empty_training(self):
+        # a block of NIL IDs and one whose tokens normalise to nothing
+        # train no entry either
+        unusable = {"t": [rows_from_tuples([("kinase", 0, 6, "S", NIL, []),
+                                            ("---", 7, 10, "S", "PR:000001", [])])]}
+        assert LexiconTagger.train(unusable).entries == {}
         tagger = LexiconTagger.train({})
         assert tagger.entries == {}
         rows = rows_from_tuples([("x", 0, 1, "O", NIL, [])])
