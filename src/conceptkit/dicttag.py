@@ -72,8 +72,9 @@ def normalize_term(term: str) -> list[str]:
 
 
 class TermIndex(namedtuple("TermIndex", "entries max_len")):
-    """Normalised term sequences mapped to their candidate CURIEs, and
-    the longest key's length. Its len() and `in` refer to the entries,
+    """Normalised term sequences mapped to their values (an ontology's
+    candidate CURIEs, or a lexicon's span pattern and concept), and the
+    longest key's length. Its len() and `in` refer to the entries,
     not to its two fields."""
 
     __slots__ = ()
@@ -130,16 +131,16 @@ def build_index(graph: OntologyGraph,
     return TermIndex(entries)
 
 
-def longest_leftmost(tokens: list[tuple[str, TextSpan]], entries: dict,
-                     max_len: int, stopwords: frozenset[str] = frozenset()):
-    """Yield (first, last, value) of greedy longest-leftmost matches.
+def longest_leftmost(tokens: list[tuple[str, TextSpan]], index: TermIndex,
+                     stopwords: frozenset[str] = frozenset()):
+    """Yield (first, last, value) of greedy longest-leftmost matches of
+    the keys of `index`, normalised token sequences, in `tokens`.
 
-    `entries` maps normalised token sequences to values; `max_len` is
-    the length of its longest key. Matches never overlap. A match must
-    start and end on tokens that contribute at least one normalised
-    token; single-token matches whose surface form is in `stopwords`
-    are skipped.
+    Matches never overlap. A match must start and end on tokens that
+    contribute at least one normalised token; single-token matches whose
+    surface form is in `stopwords` are skipped.
     """
+    entries, max_len = index.entries, index.max_len
     norm = [tuple(normalize_term(tok)) for tok, _ in tokens]
     i = 0
     while i < len(tokens):
@@ -173,8 +174,7 @@ def tag(tokens: list[tuple[str, TextSpan]], index: TermIndex,
     single-token matches whose surface form is a stopword are suppressed.
     """
     features: list[tuple[str, ...]] = [()] * len(tokens)
-    for first, last, ids in longest_leftmost(tokens, index.entries,
-                                             index.max_len, stopwords):
+    for first, last, ids in longest_leftmost(tokens, index, stopwords):
         features[first:last + 1] = [ids] * (last - first + 1)
     return features
 

@@ -18,7 +18,7 @@ import sys
 from collections import Counter, namedtuple
 
 from .codec import block_concept, block_tags, iter_blocks
-from .dicttag import longest_leftmost, normalize_term
+from .dicttag import TermIndex, longest_leftmost, normalize_term
 from .errors import ConceptKitError, add_warnings, take_warnings
 from .evaluate import EvalCounts, fscore, score_document, slot_error_rate
 from .harmonise import HarmonisationStrategy, harmonise_strategies
@@ -89,19 +89,17 @@ def _can_fork() -> bool:
                                     or threading.active_count() == 1)
 
 
-def _score_share(share: int, workers: int, context, write: int) -> None:
-    """In a forked child: score tasks share, share + workers, ... and
-    write their counts and warnings to the pipe `write` as one marshal
-    record, then leave with os._exit (no atexit, no inherited buffer
-    flushed): status 0 once the record is written, else 1."""
+def _score_share(run: range, context, write: int) -> None:
+    """In a forked child: score the tasks of `run` and write their counts
+    and warnings to the pipe `write` as one marshal record, then leave
+    with os._exit (no atexit, no inherited buffer flushed): status 0 once
+    the record is written, else 1."""
     status = 1
     try:
-        record = []
-        for i in range(share, len(context[0]), workers):
-            cells = _score_document(i, context)
-            record.append((tuple(map(tuple, cells)), take_warnings()))
+        take_warnings()  # the caller's, which it holds already
+        counts = [tuple(map(tuple, _score_document(i, context))) for i in run]
         with open(write, "wb") as pipe:
-            marshal.dump(record, pipe)
+            marshal.dump((counts, take_warnings()), pipe)
         status = 0
     finally:
         os._exit(status)
@@ -109,63 +107,55 @@ def _score_share(share: int, workers: int, context, write: int) -> None:
 
 def _score_tasks(context, workers: int) -> list[list[EvalCounts]]:
     """`_score_document` of every task, in task order, in `workers`
-    processes: this one scores the tasks i with i % workers == 0, forked
-    child k those with i % workers == k.
+    processes. The tasks are cut into `workers` runs of consecutive
+    tasks at ceil(n * k / workers): this process scores run 0, the
+    longest, and forked child k run k.
 
     The counts, the warnings and any exception are those of scoring every
-    task here in order: a task this process holds no result for (a
-    failed child's, an unforked share's, or one this process's own share
-    failed on) is scored here at its place in task order. Every child is
-    reaped before this returns or raises.
+    task here in order: the runs are merged in order, and a run whose
+    child failed or was not forked is scored here at its place. Every
+    child is reaped before this returns or raises.
     """
     n = len(context[0])
-    done = {}  # task -> (counts, warnings) of a share
-    if workers > 1 and _can_fork():
-        import signal  # here: its enums would cost every command about 1.5 ms
-        earlier = take_warnings()  # counted before: no child's to send back
-        children = {}  # pid -> read end of its pipe, until reaped
-        try:
-            for _ in range(1, workers):
-                read, write = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:  # no more processes: this one scores the rest
-                    os.close(read)
-                    os.close(write)
-                    break
-                if pid == 0:
-                    _score_share(len(children) + 1, workers, context, write)
-                os.close(write)  # while any copy is open, its read sees no EOF
-                children[pid] = open(read, "rb")
-            for i in range(0, n, workers):
-                try:
-                    done[i] = _score_document(i, context), take_warnings()
-                except Exception:
-                    take_warnings()  # partial: the task is scored again below
-                    break
-            for share, (pid, pipe) in enumerate(list(children.items()), 1):
+    workers = workers if workers > 1 and _can_fork() else 1
+    runs = [range(-(-n * k // workers), -(-n * (k + 1) // workers))
+            for k in range(workers)]
+    children = {}  # run -> (pid, read end of its pipe), until reaped
+    documents = []
+    try:
+        for k in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no more processes: this one scores the rest
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                _score_share(runs[k], context, write)
+            os.close(write)  # while any copy is open, its read sees no EOF
+            children[k] = pid, open(read, "rb")
+        for k, run in enumerate(runs):
+            if k in children:
+                pid, pipe = children[k]
                 record = pipe.read()
                 pipe.close()
                 status = os.waitpid(pid, 0)[1]
-                del children[pid]
+                del children[k]
                 if status == 0:
-                    for i, (cells, warnings) in zip(range(share, n, workers),
-                                                    marshal.loads(record)):
-                        done[i] = [EvalCounts._make(c) for c in cells], warnings
-        finally:
-            for pid, pipe in children.items():
+                    counts, warnings = marshal.loads(record)
+                    documents += [[EvalCounts._make(c) for c in cells]
+                                  for cells in counts]
+                    add_warnings(warnings)
+                    continue
+            documents += [_score_document(i, context) for i in run]
+    finally:
+        if children:
+            import signal  # only here: loading it costs about 1.5 ms
+            for pid, pipe in children.values():
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
                 pipe.close()
-            add_warnings(earlier)
-    documents = []
-    for i in range(n):
-        if i in done:
-            cells, warnings = done[i]
-            add_warnings(warnings)
-        else:
-            cells = _score_document(i, context)
-        documents.append(cells)
     return documents
 
 
@@ -181,9 +171,10 @@ def grid_search(gold: dict[str, list[Annotation]],
     document is harmonised under every strategy at once and each
     distinct output scored once; a fold's counts are the sum over its
     documents. With jobs > 1 the documents are scored in at most that
-    many processes (see `_score_tasks`), no more than the usable CPUs,
-    with the results of jobs=1. A warning counts once (see
-    `errors.warn`), however many strategies, folds or processes meet it.
+    many processes, no more than the usable CPUs, each scoring a run of
+    consecutive documents (see `_score_tasks`), with the results of
+    jobs=1. A warning counts once (see `errors.warn`), however many
+    strategies, folds or processes meet it.
     """
     missing = [d for d in gold if d not in predictions]
     if missing:
@@ -239,7 +230,7 @@ class LexiconTagger:
 
     def __init__(self, entries: dict[tuple[str, ...], tuple[tuple[str, ...], str]]):
         self.entries = dict(entries)
-        self.max_len = max(map(len, self.entries), default=0)
+        self.index = TermIndex(self.entries)
 
     @classmethod
     def train(cls, training_docs: dict[str, list[list[ConllRow]]]) -> "LexiconTagger":
@@ -270,8 +261,7 @@ class LexiconTagger:
     def tag_tokens(self, tokens: list[tuple[str, TextSpan]]) -> list[tuple[SpanTag, str]]:
         """Predicted (span tag, ID tag) per token; O/NIL outside matches."""
         out: list[tuple[SpanTag, str]] = [(SpanTag.O, NIL)] * len(tokens)
-        for first, last, (pattern, concept) in longest_leftmost(
-                tokens, self.entries, self.max_len):
+        for first, last, (pattern, concept) in longest_leftmost(tokens, self.index):
             if len(pattern) == last - first + 1:
                 tags = [SpanTag(t) for t in pattern]
             else:

@@ -392,5 +392,12 @@ class TestWangSimilarity:
             wang_similarity(chain_graph, "TEST:A", "TEST:B", 1.0)
 
     def test_unknown_curie(self, chain_graph):
-        with pytest.raises(KeyError):
-            wang_similarity(chain_graph, "TEST:A", "TEST:missing")
+        """An unknown CURIE on either side raises KeyError naming it (the
+        first of two), even when both sides are the same CURIE."""
+        for a, b, named in [("TEST:A", "TEST:missing", "TEST:missing"),
+                            ("TEST:missing", "TEST:A", "TEST:missing"),
+                            ("TEST:missing", "TEST:missing", "TEST:missing"),
+                            ("TEST:m1", "TEST:m2", "TEST:m1")]:
+            with pytest.raises(KeyError) as raised:
+                wang_similarity(chain_graph, a, b)
+            assert raised.value.args == (named,)

@@ -380,18 +380,22 @@ class TestGridSearch:
                                                       monkeypatch, two_cpus):
         """A scorer that fails on some tasks raises the first one's error
         as jobs=1 does, after the warnings counted before the search and
-        those of every task up to that one, and leaves no child behind:
-        with jobs=2, tasks 1 and 3 are the child's and 0 and 2 this
-        process's."""
+        those of every task up to that one, fails on it once in this
+        process (never retrying it), and leaves no child behind: with
+        jobs=2, tasks 0 and 1 are this process's and 2 and 3 the child's."""
         gold, predictions = mixed_corpus(4)
         plan = make_folds(sorted(gold), 2)
         order = [d for f in range(plan.k) for d in plan.fold_docs(f)]
+        parent = os.getpid()
         failing = []
+        failed_here = []
 
         def fail_one(preds, refs, graph, decay):
             doc_id = next(d for d in order if gold[d] is refs)
             warn("scored %s", doc_id)
             if doc_id in failing:
+                if os.getpid() == parent:
+                    failed_here.append(doc_id)
                 raise ConceptKitError(f"scorer failed on {doc_id}")
             return score_document(preds, refs, graph, decay)
 
@@ -399,6 +403,7 @@ class TestGridSearch:
         for jobs, fail_at in [(1, [1]), (1, [2]), (2, [1]), (2, [2]),
                               (2, [3]), (2, [1, 2])]:
             failing[:] = [order[i] for i in fail_at]
+            failed_here.clear()
             warn("earlier %s", "one")
             with pytest.raises(ConceptKitError,
                                match=f"scorer failed on {failing[0]}$"):
@@ -408,21 +413,19 @@ class TestGridSearch:
                 "earlier %s": ("earlier one",),
                 "scored %s": tuple(f"scored {d}"
                                    for d in order[:fail_at[0] + 1])}
+            assert failed_here == [failing[0]]
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
 
     def test_a_failed_child_leaves_its_tasks_to_this_process(
             self, graph, monkeypatch, two_cpus):
-        """A task that this process holds no result for is scored here at
-        its place in task order, whether a child died scoring it or this
-        process's own share failed on it once (task 2, after a partial
-        warning): the serial table and warnings come back, the failed
-        attempt's warnings are dropped, and no child is left."""
+        """The run of a child that died scoring it is scored here at its
+        place in task order: the serial table and warnings come back, and
+        no child is left."""
         gold, predictions = mixed_corpus(10)
         plan = make_folds(sorted(gold), 5, seed=1)
         order = [d for f in range(plan.k) for d in plan.fold_docs(f)]
         parent = os.getpid()
-        failed = []
 
         def warn_document(preds, refs, graph, decay):
             warn("scored %s", next(d for d in order if gold[d] is refs))
@@ -433,24 +436,15 @@ class TestGridSearch:
                 os._exit(9)
             return warn_document(preds, refs, graph, decay)
 
-        def fail_once_here(preds, refs, graph, decay):
-            if os.getpid() == parent and refs is gold[order[2]] and not failed:
-                failed.append(order[2])
-                warn("partial %s", order[2])
-                raise ConceptKitError(f"scorer failed on {order[2]}")
-            return warn_document(preds, refs, graph, decay)
-
         monkeypatch.setattr(tuning, "score_document", warn_document)
         serial = grid_search(gold, predictions, STRATEGY_ORDER, plan, graph)
         warnings = take_warnings()
-        for scorer in (die_in_child, fail_once_here):
-            monkeypatch.setattr(tuning, "score_document", scorer)
-            assert grid_search(gold, predictions, STRATEGY_ORDER, plan, graph,
-                               jobs=2) == serial
-            assert take_warnings() == warnings
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
-        assert failed == [order[2]]
+        monkeypatch.setattr(tuning, "score_document", die_in_child)
+        assert grid_search(gold, predictions, STRATEGY_ORDER, plan, graph,
+                           jobs=2) == serial
+        assert take_warnings() == warnings
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_an_interrupt_leaves_no_child_behind(self, graph, monkeypatch,
                                                  two_cpus):
@@ -471,11 +465,16 @@ class TestGridSearch:
             os.waitpid(-1, os.WNOHANG)
         assert take_warnings() == {"earlier %s": ("earlier one",)}
 
-    def test_workers_send_back_only_their_own_warnings(self, graph,
-                                                       monkeypatch, two_cpus):
-        """A forked child starts with a copy of this process's counter;
-        it sends back the warnings of its own tasks and none of those
-        counted before the search."""
+    @pytest.mark.parametrize("cpus, runs", [
+        (2, [range(0, 5), range(5, 10)]),
+        (3, [range(0, 4), range(4, 7), range(7, 10)])], ids=["2-cpus", "3-cpus"])
+    def test_workers_send_back_only_their_own_warnings(
+            self, graph, monkeypatch, cpus, runs):
+        """Forked child k scores run k of consecutive tasks, the first
+        run being this process's, and sends back one record: its counts
+        and the warnings of its own tasks, none of those counted before
+        the search, which it starts with a copy of. The merged warnings
+        are those of jobs=1."""
         gold, predictions = mixed_corpus(10)
         plan = make_folds(sorted(gold), 5, seed=1)
         order = [d for f in range(plan.k) for d in plan.fold_docs(f)]
@@ -487,19 +486,23 @@ class TestGridSearch:
         sent = []
 
         def recording_loads(data):
-            sent.extend(marshal.loads(data))
+            sent.append(marshal.loads(data))
             return marshal.loads(data)
 
         monkeypatch.setattr(tuning, "score_document", warn_document)
+        serial = grid_search(gold, predictions, STRATEGY_ORDER, plan, graph)
+        serial_warnings = take_warnings()
+        monkeypatch.setattr(tuning, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(tuning, "marshal", SimpleNamespace(
             dump=marshal.dump, loads=recording_loads))
         warn("earlier %s", "one")
-        grid_search(gold, predictions, STRATEGY_ORDER, plan, graph, jobs=2)
-        assert [warnings for _, warnings in sent] == [
-            {"scored %s": (f"scored {d}",)} for d in order[1::2]]
-        assert take_warnings() == {
-            "earlier %s": ("earlier one",),
-            "scored %s": tuple(f"scored {d}" for d in order)}
+        assert grid_search(gold, predictions, STRATEGY_ORDER, plan, graph,
+                           jobs=cpus) == serial
+        assert [(len(counts), warnings) for counts, warnings in sent] == [
+            (len(run), {"scored %s": tuple(f"scored {order[i]}" for i in run)})
+            for run in runs[1:]]
+        assert take_warnings() == {"earlier %s": ("earlier one",),
+                                   **serial_warnings}
 
     def test_select_requires_rows(self):
         with pytest.raises(ValueError):
