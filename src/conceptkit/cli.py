@@ -159,6 +159,12 @@ def cmd_evaluate(args) -> int:
 def cmd_tune(args) -> int:
     gold_docs = read_standoff_dir(args.gold)
     predictions = read_conll_dir(args.pred)
+    for doc_id, sentences in predictions.items():
+        if sentences and doc_id in gold_docs:  # rows end in increasing order
+            end, length = sentences[-1][-1].span.end, len(gold_docs[doc_id].text)
+            if end > length:
+                raise ParseError(f"offset {end} beyond text length {length}",
+                                 source=str(Path(args.pred, f"{doc_id}.conll")))
     graph = snapshot.load_graph(args.ontology)
     gold = {doc_id: list(doc.annotations) for doc_id, doc in gold_docs.items()}
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
@@ -335,12 +341,9 @@ def _config_tokens(path: str) -> list[str]:
 
 def _apply_config(argv: list[str]) -> list[str]:
     """Splice config-file tokens in after the subcommand name."""
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
+    finder = argparse.ArgumentParser(add_help=False)  # finds --conf X too
+    finder.add_argument("--config", nargs="?")  # no value: a usage error later
+    path = finder.parse_known_args(argv)[0].config
     if path is None:
         return argv
     if not Path(path).is_file():

@@ -251,10 +251,10 @@ def _files(path: str, suffix: str) -> list[Path]:
     return sorted(directory.glob(f"*{suffix}"))
 
 
-def _read_anns(path: str, texts: dict[str, str]) -> dict[str, Document]:
-    """Parse each document's .ann file in directory path over its text;
-    a document without one has no annotations."""
-    anns = {ann.stem: ann for ann in _files(path, ".ann")}
+def _read_anns(files: list[Path], texts: dict[str, str]) -> dict[str, Document]:
+    """Parse each document's .ann file of `files` over its text; a
+    document without one has no annotations."""
+    anns = {ann.stem: ann for ann in files}
     docs = {}
     for doc_id, text in texts.items():
         ann = anns.get(doc_id)
@@ -268,12 +268,19 @@ def read_standoff_dir(path: str) -> dict[str, Document]:
     texts = {txt.stem: read_text(txt) for txt in _files(path, ".txt")}
     if not texts:
         raise ConceptKitError(f"no .txt documents in {path}")
-    return _read_anns(path, texts)
+    return _read_anns(_files(path, ".ann"), texts)
 
 
 def read_predictions_dir(path: str, texts: dict[str, str]) -> dict[str, Document]:
-    """Load predicted .ann files against the gold document texts."""
-    return _read_anns(path, texts)
+    """Load predicted .ann files against the gold document texts; a gold
+    document without its .ann and a .ann of no document each warn."""
+    files = _files(path, ".ann")
+    names = {ann.stem for ann in files}
+    for doc_id in (d for d in texts if d not in names):
+        warn("%s: no .ann for document %s", path, doc_id)
+    for name in (f.name for f in files if f.stem not in texts):
+        warn("%s: %s names no gold document", path, name)
+    return _read_anns(files, texts)
 
 
 def _parse_conll_files(files: list[Path]):

@@ -59,21 +59,6 @@ StrategyResult = namedtuple("StrategyResult",
                             "strategy mean_f mean_ser fold_counts")
 
 
-def _score_document(i: int, context) -> list[EvalCounts]:
-    """The counts of task i, one document, under each strategy; a
-    strategy whose output repeats an earlier one's reuses its counts."""
-    tasks, strategies, graph, decay = context
-    rows, refs = tasks[i]
-    scored = {}  # output -> counts
-    cells = []
-    for preds in harmonise_strategies(rows, strategies):
-        key = tuple(preds)
-        if key not in scored:
-            scored[key] = score_document(preds, refs, graph, decay)
-        cells.append(scored[key])
-    return cells
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -89,39 +74,24 @@ def _can_fork() -> bool:
                                     or threading.active_count() == 1)
 
 
-def _score_share(run: range, context, write: int) -> None:
-    """In a forked child: score the tasks of `run` and write their counts
-    and warnings to the pipe `write` as one marshal record, then leave
-    with os._exit (no atexit, no inherited buffer flushed): status 0 once
-    the record is written, else 1."""
-    status = 1
-    try:
-        take_warnings()  # the caller's, which it holds already
-        counts = [tuple(map(tuple, _score_document(i, context))) for i in run]
-        with open(write, "wb") as pipe:
-            marshal.dump((counts, take_warnings()), pipe)
-        status = 0
-    finally:
-        os._exit(status)
+def _score_tasks(score, n: int, jobs: int) -> list:
+    """`[score(i) for i in range(n)]`, in W = min(jobs, n, usable CPUs)
+    processes where forking is safe and jobs > 1, else in this one.
 
-
-def _score_tasks(context, workers: int) -> list[list[EvalCounts]]:
-    """`_score_document` of every task, in task order, in `workers`
-    processes. The tasks are cut into `workers` runs of consecutive
-    tasks at ceil(n * k / workers): this process scores run 0, the
-    longest, and forked child k run k.
-
-    The counts, the warnings and any exception are those of scoring every
-    task here in order: the runs are merged in order, and a run whose
-    child failed or was not forked is scored here at its place. Every
-    child is reaped before this returns or raises.
+    The tasks are cut into W runs of consecutive tasks at ceil(n * k / W):
+    this process scores run 0, the longest, and forked child k run k. A
+    child sends its results (which marshal must be able to write) and its
+    warnings back as one marshal record, then leaves with os._exit (no
+    atexit, no inherited buffer flushed). The results, the warnings and any
+    exception are those of the list: the runs are merged in order, and a
+    run whose child failed or was not forked is scored here at its place.
+    Every child is reaped before this returns or raises.
     """
-    n = len(context[0])
-    workers = workers if workers > 1 and _can_fork() else 1
+    workers = min(jobs, n, _usable_cpus()) if jobs > 1 and _can_fork() else 1
     runs = [range(-(-n * k // workers), -(-n * (k + 1) // workers))
             for k in range(workers)]
     children = {}  # run -> (pid, read end of its pipe), until reaped
-    documents = []
+    results = []
     try:
         for k in range(1, workers):
             read, write = os.pipe()
@@ -131,8 +101,15 @@ def _score_tasks(context, workers: int) -> list[list[EvalCounts]]:
                 os.close(read)
                 os.close(write)
                 break
-            if pid == 0:
-                _score_share(runs[k], context, write)
+            if pid == 0:  # the child: all it runs sits inside this try
+                try:
+                    take_warnings()  # the caller's, which it holds already
+                    done = [score(i) for i in runs[k]]
+                    with open(write, "wb") as pipe:
+                        marshal.dump((done, take_warnings()), pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
             os.close(write)  # while any copy is open, its read sees no EOF
             children[k] = pid, open(read, "rb")
         for k, run in enumerate(runs):
@@ -143,12 +120,11 @@ def _score_tasks(context, workers: int) -> list[list[EvalCounts]]:
                 status = os.waitpid(pid, 0)[1]
                 del children[k]
                 if status == 0:
-                    counts, warnings = marshal.loads(record)
-                    documents += [[EvalCounts._make(c) for c in cells]
-                                  for cells in counts]
+                    done, warnings = marshal.loads(record)
+                    results += done
                     add_warnings(warnings)
                     continue
-            documents += [_score_document(i, context) for i in run]
+            results += [score(i) for i in run]
     finally:
         if children:
             import signal  # only here: loading it costs about 1.5 ms
@@ -156,7 +132,7 @@ def _score_tasks(context, workers: int) -> list[list[EvalCounts]]:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
                 pipe.close()
-    return documents
+    return results
 
 
 def grid_search(gold: dict[str, list[Annotation]],
@@ -169,12 +145,11 @@ def grid_search(gold: dict[str, list[Annotation]],
     Ranking is deterministic: exact ties fall back to the canonical
     strategy order, and a repeated strategy is ranked once. Each
     document is harmonised under every strategy at once and each
-    distinct output scored once; a fold's counts are the sum over its
-    documents. With jobs > 1 the documents are scored in at most that
-    many processes, no more than the usable CPUs, each scoring a run of
-    consecutive documents (see `_score_tasks`), with the results of
-    jobs=1. A warning counts once (see `errors.warn`), however many
-    strategies, folds or processes meet it.
+    distinct output scored once, by one closure that `_score_tasks` maps
+    over the documents, in at most `jobs` processes, with the results of
+    jobs=1; a fold's counts are the sum over its documents. A warning
+    counts once (see `errors.warn`), however many strategies, folds or
+    processes meet it.
     """
     missing = [d for d in gold if d not in predictions]
     if missing:
@@ -187,12 +162,26 @@ def grid_search(gold: dict[str, list[Annotation]],
         raise ConceptKitError("no strategies to compare")
     folds = [plan.fold_docs(f) for f in range(plan.k)]
     tasks = [(predictions[d], gold[d]) for fold in folds for d in fold]
-    documents = iter(_score_tasks((tasks, strategies, graph, decay),
-                                  min(jobs, len(tasks), _usable_cpus())))
+
+    def score(i: int) -> tuple:
+        """Task i's counts under each strategy, as plain tuples; an
+        output that repeats an earlier strategy's is scored once."""
+        rows, refs = tasks[i]
+        scored = {}  # output -> its counts
+        cells = []
+        for preds in harmonise_strategies(rows, strategies):
+            key = tuple(preds)
+            if key not in scored:
+                scored[key] = tuple(score_document(preds, refs, graph, decay))
+            cells.append(scored[key])
+        return tuple(cells)
+
+    documents = iter(_score_tasks(score, len(tasks), jobs))
     by_fold = [[next(documents) for _ in fold] for fold in folds]
     results = []
     for i, strategy in enumerate(strategies):
-        fold_counts = tuple(sum((cells[i] for cells in fold), EvalCounts())
+        fold_counts = tuple(sum((EvalCounts._make(cells[i]) for cells in fold),
+                                EvalCounts())
                             for fold in by_fold)
         fs = [fscore(c)[2] for c in fold_counts]
         sers = [slot_error_rate(c) for c in fold_counts]

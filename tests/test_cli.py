@@ -421,6 +421,23 @@ class TestTune:
             "spans-only", "spans-only"]  # one table row, then the selection
         assert not any(l.startswith("# tie") for l in lines)
 
+    def test_predictions_past_the_gold_text_are_an_error(self, tmp_path,
+                                                         capsys):
+        """As `evaluate` rejects such offsets in a .ann file, `tune`
+        rejects them in a .conll file, naming it."""
+        for name in ("gold", "pred"):
+            (tmp_path / name).mkdir()
+        for doc_id in ("a", "b"):
+            (tmp_path / "gold" / f"{doc_id}.txt").write_text("alpha beta")
+            (tmp_path / "pred" / f"{doc_id}.conll").write_text(
+                "alpha\t100\t105\tS\tX:1\t-\nbeta\t106\t109\tO\tNIL\t-\n")
+        (tmp_path / "onto.obo").write_text("[Term]\nid: X:1\n")
+        assert run("tune", tmp_path / "gold", tmp_path / "pred", "--ontology",
+                   tmp_path / "onto.obo", "--folds", "2") == 1
+        assert capsys.readouterr().err == (
+            f"conceptkit: error: {tmp_path / 'pred' / 'a.conll'}: "
+            "offset 109 beyond text length 10\n")
+
     def test_empty_strategy_list(self, corpus, capsys):
         run("convert", corpus / "gold", corpus / "conll")
         assert run("tune", corpus / "gold", corpus / "conll",
@@ -515,9 +532,11 @@ class TestConfigFile:
     def test_config_presets_flags(self, corpus, capsys):
         cfg = corpus / "run.cfg"
         cfg.write_text("ontology={}\ngrid=true\n".format(corpus / "onto.obo"))
-        assert run("roundtrip-eval", corpus / "gold", "--config", cfg) == 0
-        out = capsys.readouterr().out
-        assert out.count("\n") == 7
+        # argparse takes an unambiguous abbreviation of any flag
+        for flag in ("--config", "--conf"):
+            assert run("roundtrip-eval", corpus / "gold", flag, cfg) == 0
+            out = capsys.readouterr().out
+            assert out.count("\n") == 7
 
     def test_command_line_overrides_config(self, corpus, capsys):
         cfg = corpus / "run.cfg"
@@ -529,13 +548,22 @@ class TestConfigFile:
 
     def test_missing_config(self, corpus, capsys, monkeypatch):
         """A missing file, an empty path and a directory each fail with
-        one error that names --config and the value given."""
+        one error that names --config and the value given, also when the
+        flag is abbreviated."""
         monkeypatch.chdir(corpus)
         for given in ("nope.cfg", "", ".", "gold"):
-            for argv in (["--config", given], [f"--config={given}"]):
+            for argv in (["--config", given], [f"--config={given}"],
+                         ["--conf", given], [f"--conf={given}"]):
                 assert run("convert", "gold", "out", *argv) == 1
                 assert capsys.readouterr().err == (
                     f"conceptkit: error: --config {given!r} names no file\n")
+
+    def test_config_without_a_value_is_a_usage_error(self, corpus, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run("convert", corpus / "gold", corpus / "out", "--config")
+        assert exit_info.value.code == 2
+        assert "argument --config: expected one argument" in (
+            capsys.readouterr().err)
 
     def test_config_lines_end_only_at_newline_or_carriage_return(
             self, tmp_path):

@@ -376,6 +376,11 @@ class TestCorpusDirectories:
         assert list(preds) == ["a", "b"]
         assert preds["a"].annotations[0].concept_id == "X:1"
         assert preds["b"].text == "beta" and preds["b"].annotations == ()
+        # b has no .ann and stray.ann names no document: each warns once
+        assert take_warnings() == {
+            "%s: no .ann for document %s": (f"{tmp_path}: no .ann for document b",),
+            "%s: %s names no gold document": (
+                f"{tmp_path}: stray.ann names no gold document",)}
 
     @pytest.mark.parametrize("read", [
         read_standoff_dir, read_conll_dir,

@@ -166,6 +166,31 @@ def test_parallel_grid_search_matches_per_cell_reference(inputs, earlier):
     check_against_reference(inputs, earlier, jobs=2)
 
 
+@pytest.mark.parametrize("jobs", [1, 2, 3, 5000])
+def test_score_tasks_is_an_ordered_map(monkeypatch, jobs):
+    """_score_tasks(f, n, jobs) is [f(i) for i in range(n)], nested
+    tuples included, from min(jobs, n, usable CPUs) processes: this one
+    and the children it forks, none for fewer than two tasks."""
+    monkeypatch.setattr(tuning, "_usable_cpus", lambda: 3)
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        forked.append(1)
+        return fork()
+
+    def f(i):
+        return (i, (i / 3, ("x" * i, ())), tuple(range(i)))
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    for n in range(8):
+        forked.clear()
+        assert tuning._score_tasks(f, n, jobs) == [f(i) for i in range(n)]
+        assert len(forked) == max(min(jobs, n, 3) - 1, 0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 START_METHOD_SCRIPT = """
 import multiprocessing
 import sys
