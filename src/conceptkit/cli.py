@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import codec, dicttag, evaluate, formats, harmonise, snapshot, tuning
-from .errors import ConceptKitError, ParseError, take_warnings
+from .errors import ConceptKitError, ParseError, take_warnings, warn
 from .formats import (iter_sentences, read_conll_dir, read_predictions_dir,
                       read_standoff_dir, read_text, split_lines)
 from .ontology import DEFAULT_DECAY
@@ -160,7 +160,9 @@ def cmd_tune(args) -> int:
     gold_docs = read_standoff_dir(args.gold)
     predictions = read_conll_dir(args.pred)
     for doc_id, sentences in predictions.items():
-        if sentences and doc_id in gold_docs:  # rows end in increasing order
+        if doc_id not in gold_docs:
+            warn("%s: %s names no gold document", args.pred, f"{doc_id}.conll")
+        elif sentences:  # rows end in increasing order
             end, length = sentences[-1][-1].span.end, len(gold_docs[doc_id].text)
             if end > length:
                 raise ParseError(f"offset {end} beyond text length {length}",
@@ -194,10 +196,8 @@ def cmd_baseline_train(args) -> int:
 
 def cmd_baseline_tag(args) -> int:
     try:
-        # a leading byte order mark is dropped here as in every line reader
-        text = read_text(Path(args.lexicon)).removeprefix("\ufeff")
-        tagger = tuning.LexiconTagger.from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
+        tagger = tuning.LexiconTagger.from_json(read_text(Path(args.lexicon)))
+    except ValueError as exc:
         raise ConceptKitError(f"bad lexicon file {args.lexicon}: {exc}") from None
     out = {doc_id: formats.write_conll(tagger.tag_rows(sentences))
            for doc_id, sentences in iter_sentences(args.input)}

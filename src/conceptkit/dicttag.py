@@ -73,9 +73,9 @@ def normalize_term(term: str) -> list[str]:
 
 class TermIndex(namedtuple("TermIndex", "entries max_len")):
     """Normalised term sequences mapped to their values (an ontology's
-    candidate CURIEs, or a lexicon's span pattern and concept), and the
-    longest key's length. Its len() and `in` refer to the entries,
-    not to its two fields."""
+    candidate CURIEs, or a lexicon's concept), and the longest key's
+    length. Its len() and `in` refer to the entries, not to its two
+    fields."""
 
     __slots__ = ()
 

@@ -145,7 +145,7 @@ def parse_standoff(ann_text: str, doc_text: str, doc_id: str = "",
             if recorded_text and recorded != _normalise_ws(covered) and (
                     recorded != _normalise_ws(" ".join(doc_text[s.start:s.end]
                                                        for s in spans))):
-                warn("%s:%d: text mismatch for %s: recorded %r, covered %r",
+                warn("%s:line %d: text mismatch for %s: recorded %r, covered %r",
                      source, lineno, ann_id, recorded_text, covered)
             annotations.append(ann)
     except ValueError as exc:

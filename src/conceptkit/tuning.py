@@ -212,12 +212,13 @@ def tied_with_best(table: list[StrategyResult]) -> list[HarmonisationStrategy]:
 class LexiconTagger:
     """Surface-form lookup tagger trained on gold CoNLL data.
 
-    Maps each normalised entity token sequence to its most frequent
-    (span pattern, concept) in the training data. Prediction scans
-    greedily for the longest leftmost known surface form.
+    Maps each normalised entity token sequence to the most frequent
+    concept of its training blocks, the lowest CURIE on ties. Prediction
+    scans greedily for the longest leftmost known surface form and tags
+    each match as one block, as `codec.block_tags` does.
     """
 
-    def __init__(self, entries: dict[tuple[str, ...], tuple[tuple[str, ...], str]]):
+    def __init__(self, entries: dict[tuple[str, ...], str]):
         self.entries = dict(entries)
         self.index = TermIndex(self.entries)
 
@@ -230,33 +231,21 @@ class LexiconTagger:
                 for first, last in iter_blocks(tags):
                     block = rows[first:last + 1]
                     concept = block_concept(block)
-                    if concept is None:
-                        continue
                     key = tuple(t for r in block for t in normalize_term(r.token))
-                    if not key:
-                        continue
-                    pattern = tuple(r.span_tag.value for r in block)
-                    votes.setdefault(key, Counter())[(pattern, concept)] += 1
-        entries = {}
-        for key, counter in votes.items():
-            (pattern, concept), _ = min(
-                counter.items(), key=lambda kv: (-kv[1], kv[0]))
-            entries[key] = (pattern, concept)
-        return cls(entries)
+                    if concept is not None and key:
+                        votes.setdefault(key, Counter())[concept] += 1
+        return cls({key: min(counts, key=lambda c: (-counts[c], c))
+                    for key, counts in votes.items()})
 
     def concepts(self) -> set[str]:
-        return {concept for _, concept in self.entries.values()}
+        return set(self.entries.values())
 
     def tag_tokens(self, tokens: list[tuple[str, TextSpan]]) -> list[tuple[SpanTag, str]]:
         """Predicted (span tag, ID tag) per token; O/NIL outside matches."""
         out: list[tuple[SpanTag, str]] = [(SpanTag.O, NIL)] * len(tokens)
-        for first, last, (pattern, concept) in longest_leftmost(tokens, self.index):
-            if len(pattern) == last - first + 1:
-                tags = [SpanTag(t) for t in pattern]
-            else:
-                tags = block_tags(last - first + 1)
-            for k, tag in zip(range(first, last + 1), tags):
-                out[k] = (tag, concept)
+        for first, last, concept in longest_leftmost(tokens, self.index):
+            out[first:last + 1] = [(tag, concept)
+                                   for tag in block_tags(last - first + 1)]
         return out
 
     def tag_rows(self, sentences: list[list[ConllRow]]) -> list[list[ConllRow]]:
@@ -271,30 +260,28 @@ class LexiconTagger:
         return tagged
 
     def to_json(self) -> str:
-        payload = [
-            {"key": list(key), "pattern": list(pattern), "concept": concept}
-            for key, (pattern, concept) in sorted(self.entries.items())
-        ]
+        payload = [{"key": list(key), "concept": concept}
+                   for key, concept in sorted(self.entries.items())]
         return json.dumps({"entries": payload}, indent=0)
 
     @classmethod
     def from_json(cls, text: str) -> "LexiconTagger":
-        """Load a `to_json` lexicon; ValueError names a malformed entry."""
+        """Load a `to_json` lexicon after a leading byte order mark; a
+        ValueError names what is malformed. An entry's fields other than
+        key and concept, such as an older file's span pattern, are ignored."""
+        data = json.loads(text.removeprefix("\ufeff"))
+        if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
+            raise ValueError('expected an object whose "entries" is a list')
         entries = {}
-        for i, e in enumerate(json.loads(text)["entries"]):
-            key, pattern, concept = e["key"], e["pattern"], e["concept"]
-            if not _string_list(key):
+        for i, e in enumerate(data["entries"]):
+            if not isinstance(e, dict):
+                raise ValueError(f"entry {i}: expected an object")
+            key, concept = e.get("key"), e.get("concept")
+            if not (isinstance(key, list) and key
+                    and all(isinstance(k, str) for k in key)):
                 raise ValueError(
                     f"entry {i}: key must be a non-empty list of strings")
-            if not _string_list(pattern) or not set(pattern) <= set("BIES"):
-                raise ValueError(
-                    f"entry {i}: pattern must be a non-empty list of B, I, E or S")
             if not isinstance(concept, str):
                 raise ValueError(f"entry {i}: concept must be a string")
-            entries[tuple(key)] = (tuple(pattern), concept)
+            entries[tuple(key)] = concept
         return cls(entries)
-
-
-def _string_list(value) -> bool:
-    return (isinstance(value, list) and bool(value)
-            and all(isinstance(v, str) for v in value))

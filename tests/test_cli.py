@@ -269,11 +269,30 @@ class TestDictTagAndBaseline:
         assert "TR:0001" in (out / "doc1.conll").read_text()
 
 
+    def test_lexicon_with_span_patterns_tags_as_before(self, corpus):
+        """A lexicon written when entries also held a span pattern loads;
+        its patterns are ignored, and the output is the one that replaying
+        them gave, byte for byte."""
+        lexicon = corpus / "lexicon.json"
+        lexicon.write_text(json.dumps({"entries": [
+            {"key": ["node1", "term"], "pattern": ["B", "E"], "concept": "TR:0001"},
+            {"key": ["bind"], "pattern": ["S"], "concept": "TR:0004"},
+            {"key": ["plain", "word", "here"], "pattern": ["B", "I", "E"],
+             "concept": "TR:0005"}]}))
+        out = corpus / "baseline"
+        assert run("baseline-tag", corpus / "gold", out, "--lexicon", lexicon) == 0
+        assert (out / "doc1.conll").read_text() == (
+            "node1\t0\t5\tB\tTR:0001\t-\nterm\t6\t10\tE\tTR:0001\t-\n"
+            "binds\t11\t16\tS\tTR:0004\t-\nsyn2\t17\t21\tO\tNIL\t-\n"
+            "form\t22\t26\tO\tNIL\t-\n\n"
+            "plain\t27\t32\tB\tTR:0005\t-\nwords\t33\t38\tI\tTR:0005\t-\n"
+            "here\t39\t43\tE\tTR:0005\t-\n")
+
     @pytest.mark.parametrize("payload", [
         "[]", '{"entries": 5}', '{"entries": [5]}',
-        '{"entries": [{"key": "ab", "pattern": ["S"], "concept": "X:1"}]}',
-        '{"entries": [{"key": ["ab"], "pattern": ["S"], "concept": 5}]}',
-        '{"entries": [{"key": ["ab"], "pattern": ["X"], "concept": "X:1"}]}'])
+        '{"entries": [{"key": "ab", "concept": "X:1"}]}',
+        '{"entries": [{"key": ["ab"], "concept": 5}]}',
+        "{}", '{"entries": [{"key": ["ab"]}]}'])
     def test_lexicon_of_the_wrong_shape_is_an_error(self, corpus, capsys,
                                                     payload):
         lexicon = corpus / "lexicon.json"
@@ -438,6 +457,22 @@ class TestTune:
             f"conceptkit: error: {tmp_path / 'pred' / 'a.conll'}: "
             "offset 109 beyond text length 10\n")
 
+    def test_a_conll_of_no_gold_document_warns(self, corpus, capsys):
+        """It is left out of the folds, and each such file warns once,
+        as a stray .ann does for `evaluate`."""
+        conll = corpus / "conll"
+        run("convert", corpus / "gold", conll)
+        argv = ["tune", corpus / "gold", conll, "--ontology",
+                corpus / "onto.obo", "--folds", "2"]
+        assert run(*argv) == 0
+        table = capsys.readouterr().out
+        (conll / "stray.conll").write_text((conll / "doc2.conll").read_text())
+        (conll / "other.conll").write_text("")
+        assert run(*argv) == 0
+        assert capsys.readouterr() == (table, (
+            f"conceptkit: warning: {conll}: other.conll names no gold document"
+            " (1 more like it)\n"))
+
     def test_empty_strategy_list(self, corpus, capsys):
         run("convert", corpus / "gold", corpus / "conll")
         assert run("tune", corpus / "gold", corpus / "conll",
@@ -518,7 +553,7 @@ class TestWarnings:
         assert run("evaluate", corpus / "gold", missing,
                    "--ontology", corpus / "onto.obo") == 1
         assert capsys.readouterr().err == (
-            f"conceptkit: warning: {corpus / 'gold' / 'doc2.ann'}:1: text "
+            f"conceptkit: warning: {corpus / 'gold' / 'doc2.ann'}:line 1: text "
             "mismatch for T1: recorded 'syn3 farm', covered 'syn3 form'\n"
             f"conceptkit: error: not a directory: {missing}\n")
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conceptkit import (NIL, LexiconTagger, OntologyGraph, ParseError,
                         build_index, normalize_term, parse_obo, tag,
                         take_warnings, tokenize)
-from conceptkit.codec import iter_blocks
+from conceptkit.codec import block_tags, iter_blocks
 from conceptkit.dicttag import TermIndex, read_synonyms, tag_rows
 from conceptkit.ontology import Concept
 
@@ -173,15 +173,14 @@ class TestTag:
 
     def test_lexicon_tagger_shares_the_scan(self):
         # both taggers scan with longest_leftmost; without stopwords they
-        # must match the same tokens, entry for entry
+        # must match the same tokens, entry for entry, and the lexicon
+        # tags each match as codec.block_tags does
         rng = random.Random(43)
         vocab = ["kinase", "cell", "alpha", "beta", "membrane", "-"]
         keys = {("alpha", "kinase"): "X:1", ("cell",): "X:2",
                 ("beta", "cell"): "X:3", ("membrane",): "X:4"}
         index = TermIndex({key: (c,) for key, c in keys.items()})
-        lexicon = LexiconTagger({
-            key: (("S",) if len(key) == 1 else ("B", "E"), c)
-            for key, c in keys.items()})
+        lexicon = LexiconTagger(keys)
         for _ in range(300):
             words = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
             tokens = tokenize(" ".join(words))
@@ -193,6 +192,8 @@ class TestTag:
                 key = tuple(t for w in words[first:last + 1]
                             for t in normalize_term(w))
                 assert keys[key] == labels[first][1]
+                assert [t for t, _ in labels[first:last + 1]] == \
+                    block_tags(last - first + 1)
 
     def test_longest_leftmost_no_strict_subspan(self):
         index = _index({"alpha": ["X:1"], "alpha beta": ["X:2"],

@@ -138,7 +138,7 @@ class TestStandoff:
         assert len(doc.annotations) == 1
         assert doc.doc_id == "doc"
         assert list(take_warnings().values()) == [(
-            "gold/doc.ann:1: text mismatch for T1: recorded 'wrong', "
+            "gold/doc.ann:line 1: text mismatch for T1: recorded 'wrong', "
             "covered 'agent'",)]
 
     # str.splitlines ends a line at each of these, brat at none of them

@@ -555,7 +555,30 @@ TRAIN_CONLL = {
 class TestLexiconTagger:
     def test_majority_concept_wins(self):
         tagger = LexiconTagger.train(TRAIN_CONLL)
-        assert tagger.entries[("tubulin",)] == (("S",), "PR:000002")
+        assert tagger.entries[("tubulin",)] == "PR:000002"
+
+    def test_votes_count_per_concept_whatever_the_surface_length(self):
+        """Five mentions normalise to the key (il, 2): X:1 has three of
+        their votes, two over three tokens and one over two, and wins
+        over Y:1's two, although Y:1 has the most votes of one length."""
+        il2 = [("IL", 0, 2, "B"), ("-", 3, 4, "I"), ("2", 5, 6, "E")]
+        il_2 = [("IL", 0, 2, "B"), ("2", 3, 4, "E")]
+        docs = {f"d{i}": [rows_from_tuples([(*row, concept, [])
+                                            for row in surface])]
+                for i, (surface, concept) in enumerate(
+                    [(il2, "X:1"), (il2, "X:1"), (il_2, "Y:1"),
+                     (il_2, "Y:1"), (il_2, "X:1")])}
+        assert LexiconTagger.train(docs).entries == {("il", "2"): "X:1"}
+
+    def test_a_match_is_tagged_as_one_block(self):
+        """A training block that starts with I is still a block, and its
+        surface form is tagged B E, as `codec.block_tags` tags two tokens."""
+        rows = rows_from_tuples([("stem", 0, 4, "I", "X:1", []),
+                                 ("cell", 5, 9, "E", "X:1", [])])
+        tagger = LexiconTagger.train({"t": [rows]})
+        (tagged,) = tagger.tag_rows([rows])
+        assert [(r.span_tag, r.id_tag) for r in tagged] == [
+            (SpanTag.B, "X:1"), (SpanTag.E, "X:1")]
 
     def test_tags_known_surface(self):
         tagger = LexiconTagger.train(TRAIN_CONLL)
@@ -594,18 +617,36 @@ class TestLexiconTagger:
         tagger = LexiconTagger.train(TRAIN_CONLL)
         clone = LexiconTagger.from_json(tagger.to_json())
         assert clone.entries == tagger.entries
+        # a leading byte order mark is dropped, as by every line reader
+        bom = LexiconTagger.from_json("\ufeff" + tagger.to_json())
+        assert bom.entries == tagger.entries
+
+    def test_from_json_ignores_an_older_files_span_pattern(self):
+        text = json.dumps({"entries": [
+            {"key": ["tubulin"], "pattern": ["S"], "concept": "PR:000002"},
+            {"key": ["a", "b"], "pattern": ["I", "E"], "concept": "X:1"}]})
+        tagger = LexiconTagger.from_json(text)
+        assert tagger.entries == {("tubulin",): "PR:000002", ("a", "b"): "X:1"}
+        assert json.loads(tagger.to_json()) == {"entries": [
+            {"key": ["a", "b"], "concept": "X:1"},
+            {"key": ["tubulin"], "concept": "PR:000002"}]}
 
     @pytest.mark.parametrize("entry, error", [
-        ({"key": "ab", "pattern": ["S"], "concept": "X:1"}, "key must be"),
-        ({"key": [], "pattern": ["S"], "concept": "X:1"}, "key must be"),
-        ({"key": ["ab"], "pattern": "S", "concept": "X:1"}, "pattern must be"),
-        ({"key": ["ab"], "pattern": ["X"], "concept": "X:1"}, "pattern must be"),
-        ({"key": ["ab"], "pattern": ["S"], "concept": 5}, "concept must be"),
+        ({"key": "ab", "concept": "X:1"}, "key must be"),
+        ({"key": [], "concept": "X:1"}, "key must be"),
+        ({"key": ["ab"]}, "concept must be"),
+        (5, "expected an object"),
+        ({"key": ["ab"], "concept": 5}, "concept must be"),
     ])
     def test_from_json_rejects_a_wrong_entry_shape(self, entry, error):
-        good = {"key": ["a"], "pattern": ["S"], "concept": "X:1"}
+        good = {"key": ["a"], "concept": "X:1"}
         text = json.dumps({"entries": [good, entry]})
         with pytest.raises(ValueError, match=f"^entry 1: {error}"):
+            LexiconTagger.from_json(text)
+
+    @pytest.mark.parametrize("text", ["[]", "{}", '{"entries": 5}'])
+    def test_from_json_rejects_a_wrong_file_shape(self, text):
+        with pytest.raises(ValueError, match='"entries" is a list$'):
             LexiconTagger.from_json(text)
 
     def test_empty_training(self):
