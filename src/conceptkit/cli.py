@@ -56,11 +56,27 @@ def _set_name(args, directory: str) -> str:
     return args.set_name or os.path.basename(os.path.abspath(directory))
 
 
-def _original_text(args, doc_id: str) -> str | None:
-    """The document's text from --text-dir, or None without that flag."""
-    if not args.text_dir:
-        return None
-    return read_text(Path(args.text_dir) / f"{doc_id}.txt")
+def _check_rows_fit(directory: str, doc_id: str, sentences, text: str) -> None:
+    """A ParseError naming DIRECTORY/DOC_ID.conll if its rows run past text."""
+    end = sentences[-1][-1].span.end if sentences else 0  # rows end in order
+    if end > len(text):
+        raise ParseError(f"offset {end} beyond text length {len(text)}",
+                         source=str(Path(directory, f"{doc_id}.conll")))
+
+
+def _write_documents(args, to_document) -> int:
+    """Write to_document(doc_id, sentences, text) of each INPUT .conll as
+    OUTPUT/DOC.ann. The text is the --text-dir .txt, which the rows must
+    fit, or None without that flag."""
+    out = {}
+    for doc_id, sentences in read_conll_dir(args.input).items():
+        text = None
+        if args.text_dir:
+            text = read_text(Path(args.text_dir) / f"{doc_id}.txt")
+            _check_rows_fit(args.input, doc_id, sentences, text)
+        out[doc_id] = formats.write_standoff(to_document(doc_id, sentences, text))
+    _write_outputs(args.output, out, ".ann")
+    return 0
 
 
 def cmd_convert(args) -> int:
@@ -76,15 +92,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_restore(args) -> int:
-    corpus = read_conll_dir(args.input)
-    out = {}
-    for doc_id, sentences in corpus.items():
-        doc = codec.conll_to_document(doc_id, sentences,
-                                      id_source=args.id_source,
-                                      text=_original_text(args, doc_id))
-        out[doc_id] = formats.write_standoff(doc)
-    _write_outputs(args.output, out, ".ann")
-    return 0
+    return _write_documents(args, codec.conll_to_document)
 
 
 def cmd_roundtrip_eval(args) -> int:
@@ -123,15 +131,10 @@ def cmd_dict_tag(args) -> int:
 
 
 def cmd_harmonise(args) -> int:
-    corpus = read_conll_dir(args.input)
-    out = {}
-    for doc_id, sentences in corpus.items():
+    def to_document(doc_id, sentences, text):
         annotations = harmonise.harmonise_document(sentences, args.strategy)
-        doc = codec.annotated_document(doc_id, sentences, annotations,
-                                       _original_text(args, doc_id))
-        out[doc_id] = formats.write_standoff(doc)
-    _write_outputs(args.output, out, ".ann")
-    return 0
+        return codec.annotated_document(doc_id, sentences, annotations, text)
+    return _write_documents(args, to_document)
 
 
 def _read_train_labels(path: str) -> set[str]:
@@ -162,11 +165,8 @@ def cmd_tune(args) -> int:
     for doc_id, sentences in predictions.items():
         if doc_id not in gold_docs:
             warn("%s: %s names no gold document", args.pred, f"{doc_id}.conll")
-        elif sentences:  # rows end in increasing order
-            end, length = sentences[-1][-1].span.end, len(gold_docs[doc_id].text)
-            if end > length:
-                raise ParseError(f"offset {end} beyond text length {length}",
-                                 source=str(Path(args.pred, f"{doc_id}.conll")))
+        else:
+            _check_rows_fit(args.pred, doc_id, sentences, gold_docs[doc_id].text)
     graph = snapshot.load_graph(args.ontology)
     gold = {doc_id: list(doc.annotations) for doc_id, doc in gold_docs.items()}
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
@@ -264,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("restore", cmd_restore, [text_dir], "CoNLL back to stand-off")
     p.add_argument("input", help="directory with .conll files")
     p.add_argument("output", help="directory for .ann files")
-    p.add_argument("--id-source", choices=["id_tag", "dict"], default="id_tag")
 
     p = command("roundtrip-eval", cmd_roundtrip_eval,
                 [ontology, simplification, scoring, ser],

@@ -78,13 +78,10 @@ def encode(doc: Document, tokens: list[tuple[str, TextSpan]]) -> list[ConllRow]:
     ]
 
 
-def block_concept(block: list[ConllRow], id_source: str = "id_tag") -> str | None:
-    """Most frequent non-NIL ID tag ("id_tag") or dictionary feature
-    ("dict") of an entity block, the lowest CURIE on ties; None if none."""
-    if id_source == "id_tag":
-        counts = Counter(r.id_tag for r in block if r.id_tag != NIL)
-    else:
-        counts = Counter(f for r in block for f in r.dict_features)
+def block_concept(block: list[ConllRow]) -> str | None:
+    """Most frequent non-NIL ID tag of an entity block, the lowest CURIE
+    on ties; None if none. (harmonise holds the dictionary-feature rule.)"""
+    counts = Counter(r.id_tag for r in block if r.id_tag != NIL)
     return min(counts, key=lambda c: (-counts[c], c), default=None)
 
 
@@ -95,17 +92,12 @@ def block_annotation(concept: str, rows: list[ConllRow], first: int,
                                          rows[last].span.end),))
 
 
-def decode_iobes(rows: list[ConllRow], id_source: str = "id_tag") -> list[Annotation]:
-    """Decode one sentence of rows into annotations.
-
-    id_source selects the block_concept rule; blocks with no concept
-    are skipped.
-    """
-    if id_source not in ("id_tag", "dict"):
-        raise ValueError(f"unknown id_source {id_source!r}")
+def decode_iobes(rows: list[ConllRow]) -> list[Annotation]:
+    """Decode one sentence of rows into annotations, each block taking
+    its block_concept; blocks with no concept are skipped."""
     annotations = []
     for first, last in iter_blocks([row.span_tag for row in rows]):
-        concept = block_concept(rows[first:last + 1], id_source)
+        concept = block_concept(rows[first:last + 1])
         if concept is not None:
             annotations.append(block_annotation(concept, rows, first, last))
     return annotations
@@ -142,10 +134,10 @@ def surrogate_text(sentences: list[list[ConllRow]]) -> str:
 
 
 def conll_to_document(doc_id: str, sentences: list[list[ConllRow]],
-                      id_source: str = "id_tag", text: str | None = None) -> Document:
+                      text: str | None = None) -> Document:
     """Decode sentences back into a document (see annotated_document)."""
     return annotated_document(doc_id, sentences, [
-        ann for rows in sentences for ann in decode_iobes(rows, id_source)], text)
+        ann for rows in sentences for ann in decode_iobes(rows)], text)
 
 
 def annotated_document(doc_id: str, sentences: list[list[ConllRow]],

@@ -2,9 +2,10 @@
 
 Four strategies resolve disagreement between the three sources:
 
-* spans-only: trust the span tags; each entity token takes the lowest
-  dictionary candidate. Span predictions with no dictionary support are
-  dropped, and the ID tagger is ignored entirely.
+* spans-only: trust the span tags; a span block takes the lowest
+  dictionary candidate its tokens share, else each token its own lowest
+  (the package's only dictionary-concept rule). Span predictions with no
+  dictionary support are dropped, and the ID tagger is ignored entirely.
 * ids-only: trust the ID tags; span tags are overwritten by the runs of
   identical IDs, and the dictionary is ignored.
 * spans-first: spans-only, backing off to ids-only wherever the outcome
@@ -71,7 +72,9 @@ def _accepts(span_tag: SpanTag, id_tag: str, dict_ids: tuple) -> tuple:
 
 def harmonise_token(p: TokenPrediction,
                     strategy: HarmonisationStrategy) -> tuple[SpanTag, str]:
-    """Token-level label under the given strategy."""
+    """A token's label under the strategy's route table, read alone: a
+    span-routed token takes min(dict_ids), the block rule of
+    _sentence_entities on a one-token block."""
     route = _ROUTES[HarmonisationStrategy(strategy)][
         _accepts(p.span_tag, p.nn_id, p.dict_ids)]
     if route == "span":

@@ -443,19 +443,31 @@ class TestTune:
     def test_predictions_past_the_gold_text_are_an_error(self, tmp_path,
                                                          capsys):
         """As `evaluate` rejects such offsets in a .ann file, `tune`
-        rejects them in a .conll file, naming it."""
-        for name in ("gold", "pred"):
+        rejects them in a .conll file, naming it; so do `restore` and
+        `harmonise` against --text-dir, also where the rows past the
+        text are O."""
+        for name in ("gold", "pred", "past"):
             (tmp_path / name).mkdir()
         for doc_id in ("a", "b"):
             (tmp_path / "gold" / f"{doc_id}.txt").write_text("alpha beta")
             (tmp_path / "pred" / f"{doc_id}.conll").write_text(
                 "alpha\t100\t105\tS\tX:1\t-\nbeta\t106\t109\tO\tNIL\t-\n")
+        (tmp_path / "past" / "a.conll").write_text(
+            "alpha\t0\t5\tS\tX:1\tX:1\nbeta\t6\t10\tO\tNIL\t-\n"
+            "gamma\t11\t16\tO\tNIL\t-\n")
         (tmp_path / "onto.obo").write_text("[Term]\nid: X:1\n")
         assert run("tune", tmp_path / "gold", tmp_path / "pred", "--ontology",
                    tmp_path / "onto.obo", "--folds", "2") == 1
         assert capsys.readouterr().err == (
             f"conceptkit: error: {tmp_path / 'pred' / 'a.conll'}: "
             "offset 109 beyond text length 10\n")
+        for command in (["restore"], ["harmonise", "--strategy", "spans-only"]):
+            for pred, end in (("pred", 109), ("past", 16)):
+                assert run(*command, tmp_path / pred, tmp_path / "out",
+                           "--text-dir", tmp_path / "gold") == 1
+                assert capsys.readouterr().err == (
+                    f"conceptkit: error: {tmp_path / pred / 'a.conll'}: "
+                    f"offset {end} beyond text length 10\n")
 
     def test_a_conll_of_no_gold_document_warns(self, corpus, capsys):
         """It is left out of the folds, and each such file warns once,

@@ -138,18 +138,6 @@ class TestDecode:
         rows = rows_from_tuples([("a", 0, 1, "S", NIL, [])])
         assert decode_iobes(rows) == []
 
-    def test_dict_source(self):
-        rows = rows_from_tuples([
-            ("a", 0, 1, "B", NIL, ["X:9", "X:3"]),
-            ("b", 2, 3, "E", NIL, ["X:3"]),
-        ])
-        (only,) = decode_iobes(rows, id_source="dict")
-        assert only.concept_id == "X:3"
-
-    def test_unknown_source(self):
-        with pytest.raises(ValueError):
-            decode_iobes([], id_source="nope")
-
     def test_decoded_annotations_never_overlap(self):
         rng = random.Random(4)
         for _ in range(300):

@@ -165,12 +165,12 @@ class TestDocumentAssembly:
         assert [a.spans[0] for a in anns] == [TextSpan(0, 1), TextSpan(2, 3)]
 
     def test_span_block_common_feature(self):
-        rows = sentence(
-            ("a", 0, 1, "B", NIL, ["X:2", "X:1"]),
-            ("b", 2, 3, "E", NIL, ["X:2", "X:3"]),
-        )
-        anns = harmonise_document(rows, SPANS_ONLY)
-        assert anns == [Annotation("X:2", (TextSpan(0, 3),))]
+        for first, second, shared in ((["X:2", "X:1"], ["X:2", "X:3"], "X:2"),
+                                      (["X:9", "X:3"], ["X:3"], "X:3")):
+            rows = sentence(("a", 0, 1, "B", NIL, first),
+                            ("b", 2, 3, "E", NIL, second))
+            anns = harmonise_document(rows, SPANS_ONLY)
+            assert anns == [Annotation(shared, (TextSpan(0, 3),))]
 
     def test_span_block_splits_when_no_common_feature(self):
         rows = sentence(
@@ -291,6 +291,9 @@ def test_document_agrees_with_token_table(columns, strategy):
         _, concept = harmonise_token(
             TokenPrediction(row.span_tag, row.id_tag, row.dict_features),
             strategy)
+        # alone in its sentence, a token is a one-token block: exact agreement
+        assert harmonise_document([[row]], strategy) == (
+            [] if concept == NIL else [Annotation(concept, (row.span,))])
         if concept == NIL:
             assert i not in covered
         elif len(row.dict_features) < 2:
